@@ -1,23 +1,23 @@
-"""Engine scaling benchmark: streaming engines + grid evaluation throughput.
+"""Engine scaling benchmark: the SoA stack vs its oracle + grid throughput.
 
 Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
 
-1. **Streaming engines** — `KRRModel.process` through (a) a faithful
-   replica of the original per-access loop (`stack.access(int(keys[i]))` +
-   per-request histogram record, i.e. the pre-engine code path), (b) the
-   fused scalar `access_many` batch path, and (c) the array-native SoA
-   engine (`engine="soa"`, native chain-walk kernel when a C compiler is
-   available).  All three must produce bit-identical curves.
+1. **Streaming** — (a) the original per-access loop over the
+   :class:`~repro.core.krr.KRRStack` oracle (`stack.access(int(keys[i]))`
+   + per-request histogram record, i.e. the pre-engine code path) against
+   (b) `KRRModel.process` on the array-native SoA stack (native
+   chain-walk kernel when a C compiler is available).  Both must produce
+   bit-identical curves.
 2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
    evaluated in one streaming pass, bit-identity-checked against the
-   scalar-engine `ModelSweep` oracle.
+   `ModelSweep` oracle (one independent `KRRModel` per config).
 3. **ModelSweep fan-out** — the same grid run serially and with 4 workers
    over the shared-memory trace store, with a bit-identity check.
 
-This run doubles as the CI perf gate (see ``_gate``): the SoA engine must
+This run doubles as the CI perf gate (see ``_gate``): the SoA stack must
 never be slower than the legacy loop, must clear 5x when the native
-kernel is active, every engine/grid curve must be bit-identical, and the
-one-pass grid must stay under 3x the single-config SoA time.  Any
+kernel is active, every curve must be bit-identical to its oracle, and
+the one-pass grid must stay under 3x the single-config SoA time.  Any
 violation makes the process exit nonzero.
 
 Writes machine-readable results to ``BENCH_engine.json`` at the repo root
@@ -47,28 +47,29 @@ SWEEP_KS = (1, 2, 5, 10)
 SWEEP_RATES = (0.1, 0.05, 0.01)  # 4 x 3 = 12 configs
 
 
-def _legacy_process(model, trace):
+def _legacy_process(k, trace, seed):
     """The pre-engine per-access loop, preserved verbatim as the baseline.
 
-    One ``stack.access`` call per request with NumPy scalar unboxing
-    (``int(keys[i])``), a result tuple per access, and one histogram
-    ``record`` call per request.
+    One ``KRRStack.access`` call per request on the oracle stack, with
+    NumPy scalar unboxing (``int(keys[i])``), a result tuple per access,
+    and one histogram ``record`` call per request.  Returns the curve.
     """
+    from repro._util import ensure_rng
+    from repro.core.krr import KRRStack
+    from repro.mrc.builder import from_distance_histogram
+    from repro.stack.histogram import DistanceHistogram
+
     keys = trace.keys
     sizes = trace.sizes
-    model.stats.requests_seen += int(keys.shape[0])
-    model.stats.requests_sampled += int(keys.shape[0])
-    stack = model._stack
-    obj_hist = model._obj_hist
-    cold = 0
+    stack = KRRStack(k, rng=ensure_rng(seed))
+    obj_hist = DistanceHistogram()
     for i in range(keys.shape[0]):
         dist, _byte_dist = stack.access(int(keys[i]), int(sizes[i]))
         if dist < 0:
-            cold += 1
             obj_hist.record_cold()
         else:
             obj_hist.record(dist)
-    model.stats.cold_misses += cold
+    return from_distance_histogram(obj_hist)
 
 
 def bench_engines(trace, seed=1):
@@ -76,39 +77,27 @@ def bench_engines(trace, seed=1):
     from repro.stack import native_kernel_active
 
     n = len(trace)
-    legacy_model = KRRModel(k=K, seed=seed)
-    t0 = time.perf_counter()
-    _legacy_process(legacy_model, trace)
-    legacy_s = time.perf_counter() - t0
-
-    scalar_model = KRRModel(k=K, seed=seed)
-    t0 = time.perf_counter()
-    scalar_model.process(trace, engine="scalar")
-    scalar_s = time.perf_counter() - t0
-
     soa_model = KRRModel(k=K, seed=seed)
     t0 = time.perf_counter()
-    soa_model.process(trace, engine="soa")
+    legacy_curve = _legacy_process(soa_model.effective_k, trace, seed)
+    legacy_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    soa_model.process(trace)
     soa_s = time.perf_counter() - t0
 
-    legacy_curve = legacy_model.mrc().miss_ratios
     identical = bool(
-        np.array_equal(legacy_curve, scalar_model.mrc().miss_ratios)
-        and np.array_equal(legacy_curve, soa_model.mrc().miss_ratios)
+        np.array_equal(legacy_curve.miss_ratios, soa_model.mrc().miss_ratios)
     )
     return {
         "requests": n,
         "k": K,
         "native_kernel": bool(native_kernel_active()),
         "legacy_s": round(legacy_s, 4),
-        "scalar_s": round(scalar_s, 4),
         "soa_s": round(soa_s, 4),
         "legacy_requests_per_s": round(n / legacy_s),
-        "scalar_requests_per_s": round(n / scalar_s),
         "soa_requests_per_s": round(n / soa_s),
-        "scalar_speedup_vs_legacy": round(legacy_s / scalar_s, 3),
         "soa_speedup_vs_legacy": round(legacy_s / soa_s, 3),
-        "soa_speedup_vs_scalar": round(scalar_s / soa_s, 3),
         "curves_identical": identical,
     }
 
@@ -122,11 +111,11 @@ def bench_multi_krr(trace, seed=3):
     rows = grid.run(trace)
     multi_s = time.perf_counter() - t0
 
-    # The scalar-engine serial sweep is the oracle: N fully independent
-    # KRRModel runs with the same spawned per-config seeds.
+    # The serial sweep is the oracle: N fully independent KRRModel runs
+    # with the same spawned per-config seeds.
     sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
     t0 = time.perf_counter()
-    oracle = sweep.run(trace, max_workers=1, engine="scalar")
+    oracle = sweep.run(trace, max_workers=1)
     oracle_s = time.perf_counter() - t0
 
     identical = all(
@@ -138,9 +127,9 @@ def bench_multi_krr(trace, seed=3):
     return {
         "n_configs": len(grid),
         "multi_s": round(multi_s, 4),
-        "scalar_oracle_s": round(oracle_s, 4),
-        "speedup_vs_scalar_oracle": round(oracle_s / multi_s, 3),
-        "identical_to_scalar_oracle": bool(identical),
+        "sweep_oracle_s": round(oracle_s, 4),
+        "speedup_vs_sweep_oracle": round(oracle_s / multi_s, 3),
+        "identical_to_sweep_oracle": bool(identical),
     }
 
 
@@ -181,10 +170,10 @@ def _gate(payload):
     failures = []
     eng = payload["engines"]
     if not eng["curves_identical"]:
-        failures.append("engine curves differ (scalar/soa vs legacy loop)")
+        failures.append("SoA curve differs from the legacy oracle loop")
     if eng["soa_requests_per_s"] < eng["legacy_requests_per_s"]:
         failures.append(
-            f"SoA engine slower than legacy loop "
+            f"SoA stack slower than legacy loop "
             f"({eng['soa_requests_per_s']} < {eng['legacy_requests_per_s']} req/s)"
         )
     if eng["native_kernel"] and eng["soa_speedup_vs_legacy"] < 5.0:
@@ -192,8 +181,8 @@ def _gate(payload):
             f"native SoA speedup {eng['soa_speedup_vs_legacy']}x < 5x vs legacy"
         )
     multi = payload["multi_krr"]
-    if not multi["identical_to_scalar_oracle"]:
-        failures.append("MultiKRR grid differs from scalar ModelSweep oracle")
+    if not multi["identical_to_sweep_oracle"]:
+        failures.append("MultiKRR grid differs from the ModelSweep oracle")
     if multi["multi_s"] > 3.0 * max(eng["soa_s"], 1e-3):
         failures.append(
             f"MultiKRR {multi['n_configs']}-config grid took {multi['multi_s']}s "
@@ -248,12 +237,9 @@ def main(argv=None):
         f"trace: {n_requests} requests, {n_objects} objects (zipf 0.99), "
         f"{os.cpu_count()} cpu(s)",
         "",
-        f"streaming engines (K=5, native kernel: {engines['native_kernel']}):",
+        f"streaming (K=5, native kernel: {engines['native_kernel']}):",
         f"  per-access  {engines['legacy_s']:8.2f}s  "
         f"{engines['legacy_requests_per_s']:>10,} req/s",
-        f"  scalar      {engines['scalar_s']:8.2f}s  "
-        f"{engines['scalar_requests_per_s']:>10,} req/s  "
-        f"({engines['scalar_speedup_vs_legacy']:.2f}x)",
         f"  soa         {engines['soa_s']:8.2f}s  "
         f"{engines['soa_requests_per_s']:>10,} req/s  "
         f"({engines['soa_speedup_vs_legacy']:.2f}x)",
@@ -262,9 +248,9 @@ def main(argv=None):
         f"MultiKRR one-pass {multi['n_configs']}-config grid "
         f"(K in {list(SWEEP_KS)}, R in {list(SWEEP_RATES)}):",
         f"  one pass    {multi['multi_s']:8.2f}s",
-        f"  scalar orc  {multi['scalar_oracle_s']:8.2f}s  "
-        f"({multi['speedup_vs_scalar_oracle']:.2f}x)",
-        f"  identical to scalar oracle: {multi['identical_to_scalar_oracle']}",
+        f"  sweep orc   {multi['sweep_oracle_s']:8.2f}s  "
+        f"({multi['speedup_vs_sweep_oracle']:.2f}x)",
+        f"  identical to sweep oracle: {multi['identical_to_sweep_oracle']}",
         "",
         f"ModelSweep {swept['n_configs']}-config grid:",
         f"  serial      {swept['serial_s']:8.2f}s",

@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG construction, argument validation.
+"""Small shared helpers: RNG construction, argument validation, directory fsync.
 
 Every stochastic component in :mod:`repro` takes either an integer seed or a
 ready-made :class:`numpy.random.Generator`; :func:`ensure_rng` normalizes the
@@ -7,6 +7,8 @@ two so call sites stay reproducible by construction.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -54,3 +56,15 @@ def check_sampling_size(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"sampling size K must be an integer >= 1, got {k!r}")
     return int(k)
+
+
+def _fsync_dir(path: Path) -> None:
+    """Persist a directory entry change (rename/unlink) to disk."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -432,17 +432,28 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
             self._data[key] = value
             self._last_access[key] = self._clock
             if old != nbytes:
-                self._used += nbytes - old
                 self._sizes[key] = nbytes
-                self._evict_until_fits_locked(key)
+                self._admit_locked(key, nbytes - old)
             return key in self._residents
         self._residents.add(key)
         self._data[key] = value
         self._sizes[key] = nbytes
         self._last_access[key] = self._clock
-        self._used += nbytes
-        self._evict_until_fits_locked(key)
+        self._admit_locked(key, nbytes)
         return True
+
+    def _admit_locked(self, key: Hashable, extra: int) -> None:
+        """Publish ``extra`` more bytes for resident ``key``, evicting first.
+
+        ``key`` already sits in the resident set (so victim draws see the
+        same set the simulators do), but its bytes join ``_used`` only
+        after the evictions made room: the lock-free ``used_bytes`` read
+        never exceeds ``capacity_bytes``, not even mid-eviction.  ``key``
+        itself fits alone (stores above the budget are rejected), so the
+        shielded draws never pick it.
+        """
+        self._evict_until_locked(self._capacity_bytes - extra, key)
+        self._used += extra
 
     def _remove_locked(self, key: Hashable) -> None:
         self._residents.remove(key)
@@ -450,8 +461,9 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         del self._last_access[key]
         self._used -= self._sizes.pop(key)
 
-    def _evict_until_fits_locked(self, protect: Hashable) -> None:
-        while self._used > self._capacity_bytes and len(self._residents) > 0:
+    def _evict_until_locked(self, budget: int, protect: Hashable) -> None:
+        """Evict sampled-LRU victims until ``_used <= budget``."""
+        while self._used > budget and len(self._residents) > 0:
             victim = select_victim(
                 self._residents.keys,
                 self._last_access,
@@ -536,15 +548,13 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
                     # object-granularity models ignore sizes entirely
                     kept_sizes = None
                 # Batched feed: each model consumes the survivors through
-                # its fused access_many path (draw-for-draw identical to
+                # its access_many path (draw-for-draw identical to
                 # per-reference access; the models hold independent RNGs,
-                # so feeding whole batches per model commutes).  The
-                # cache never snapshots its models, so engine="auto" may
-                # pick the array-native SoA stack where supported.
+                # so feeding whole batches per model commutes).
                 if self._model is not None:
-                    self._model.access_many(kept_kids, kept_sizes, engine="auto")
+                    self._model.access_many(kept_kids, kept_sizes)
                 for candidate in self._bank.values():
-                    candidate.access_many(kept_kids, kept_sizes, engine="auto")
+                    candidate.access_many(kept_kids, kept_sizes)
 
     def _maybe_retune_locked(self) -> None:
         if self._references - self._last_retune_at >= self.retune_interval:
@@ -585,9 +595,14 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
         check_positive("capacity_bytes", capacity_bytes)
         with self._lock:
             before = self.stats.evictions
-            self._capacity_bytes = int(capacity_bytes)
-            self._evict_until_fits_locked(NO_PROTECT)
+            self._set_capacity_locked(int(capacity_bytes))
             return self.stats.evictions - before
+
+    def _set_capacity_locked(self, capacity_bytes: int) -> None:
+        # Evict down to the new budget before publishing it, so a shrink
+        # never shows used_bytes above capacity_bytes either.
+        self._evict_until_locked(capacity_bytes, NO_PROTECT)
+        self._capacity_bytes = capacity_bytes
 
     def set_k(self, k: int) -> None:
         """Pin the eviction sampling size (overrides adaptive choice)."""
@@ -618,8 +633,7 @@ class SamplingLRUCache(MutableMapping[Hashable, Any]):
             new_capacity = int(max(min_bytes, recommended))
             if max_bytes is not None:
                 new_capacity = min(new_capacity, int(max_bytes))
-            self._capacity_bytes = new_capacity
-            self._evict_until_fits_locked(NO_PROTECT)
+            self._set_capacity_locked(new_capacity)
             return new_capacity
 
     # ------------------------------------------------------------------

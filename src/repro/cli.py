@@ -173,7 +173,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         retries=args.retries,
         checkpoint=args.checkpoint,
         chunk_size=chunk_size,
-        engine=args.engine,
     )
     print(
         f"# {len(results)} configs x {len(trace)} requests "
@@ -425,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "per-task IPC on small sweeps ('auto' spreads the "
                          "grid evenly over the workers; default: 1). "
                          "Results are identical for any value")
-    sw.add_argument("--engine", default="auto",
-                    choices=("auto", "scalar", "soa"),
-                    help="per-config streaming engine: 'soa' is the "
-                         "array-native stack (fastest), 'scalar' the boxed "
-                         "per-access loop, 'auto' picks 'soa' whenever the "
-                         "config supports it. Draw-for-draw identical "
-                         "results either way")
     sw.add_argument("--report", default=None, metavar="PATH",
                     help="write the structured RunReport (attempts, retries, "
                          "timeouts, per-config wall time) as JSON")

@@ -1,4 +1,4 @@
-"""The KRR probabilistic stack (§4.1, §4.4).
+"""The KRR probabilistic stack (§4.1, §4.4) — the reference oracle.
 
 :class:`KRRStack` is the paper's data structure: a simple array holding
 objects in stack order plus a hash table mapping key → array index, so a
@@ -10,6 +10,11 @@ cyclic shift (Figure 4.2(b)).
 With ``track_sizes=True`` the stack also maintains the logarithmic
 ``sizeArray`` so byte-level stack distances come back alongside the
 object-level ones (var-KRR, §4.4.1).
+
+:class:`~repro.core.model.KRRModel` runs the ``backward`` and ``linear``
+strategies on the flat-array :class:`~repro.stack.soa.SoAKRRStack`, which
+is bit-identical to this stack draw for draw; this one stays as the test
+oracle and as the only stack for the ``topdown`` strategy.
 """
 
 from __future__ import annotations
@@ -161,89 +166,18 @@ class KRRStack:
     def access_many(
         self, keys: List[int], sizes: Optional[List[int]] = None
     ) -> tuple[List[int], Optional[List[float]]]:
-        """Batched :meth:`access`: one fused loop over many requests.
+        """:meth:`access` over a batch; returns ``(distances, byte_distances)``.
 
-        Returns ``(distances, byte_distances)``; ``byte_distances`` is
-        ``None`` unless ``track_sizes``.  Draw-for-draw identical to an
-        equivalent sequence of :meth:`access` calls — same RNG consumption,
-        same final stack order — but substantially faster: attribute and
-        method lookups are hoisted out of the loop, the cyclic shift is
-        inlined, and no per-access result tuple is allocated.
-
-        ``keys``/``sizes`` should be Python lists (callers convert NumPy
-        columns with ``tolist()`` once; NumPy scalar unboxing inside the
-        loop would dominate otherwise).
+        ``byte_distances`` is ``None`` unless ``track_sizes``.  A plain
+        per-access loop: this stack is the reference oracle, and the
+        production path is :class:`~repro.stack.soa.SoAKRRStack`.
         """
-        if sizes is None:
-            sizes = [1] * len(keys)
-        if self._size_array is not None:
-            # Size-tracked path: the sizeArray update is the bottleneck,
-            # so per-access dispatch overhead is immaterial here.
-            access = self.access
-            distances: List[int] = []
-            byte_distances: List[float] = []
-            d_append = distances.append
-            b_append = byte_distances.append
-            for key, size in zip(keys, sizes):
-                d, bd = access(key, size)
-                d_append(d)
-                b_append(bd)
-            return distances, byte_distances
-        pos = self._pos
-        pos_get = pos.get
-        stack = self._stack
-        stack_append = stack.append
-        obj_sizes = self._sizes
-        distances = []
-        record = distances.append
-        total_swaps = 0
-        fused = getattr(self._strategy, "apply_fused", None)
-        if fused is not None:
-            # Backward strategy: draw chain and cyclic shift fuse into one
-            # loop (no swap-list allocation at all).
-            for key, size in zip(keys, sizes):
-                idx = pos_get(key)
-                if idx is None:
-                    stack_append(key)
-                    phi = len(stack)
-                    pos[key] = phi - 1
-                    record(-1)
-                else:
-                    phi = idx + 1
-                    record(phi)
-                total_swaps += fused(phi, stack, pos)
-                obj_sizes[key] = size
-            self.total_swaps += total_swaps
-            self.updates += len(distances)
-            return distances, None
-        swap_positions = self._strategy.swap_positions
-        for key, size in zip(keys, sizes):
-            idx = pos_get(key)
-            if idx is None:
-                stack_append(key)
-                phi = len(stack)
-                pos[key] = phi - 1
-                record(-1)
-            else:
-                phi = idx + 1
-                record(phi)
-            swaps = swap_positions(phi)
-            n = len(swaps)
-            total_swaps += n
-            if n > 1:
-                # Inlined apply_swaps(): cyclic shift along the swap chain.
-                referenced = stack[phi - 1]
-                for j in range(n - 1, 0, -1):
-                    dst = swaps[j]
-                    moved = stack[swaps[j - 1] - 1]
-                    stack[dst - 1] = moved
-                    pos[moved] = dst - 1
-                stack[0] = referenced
-                pos[referenced] = 0
-            obj_sizes[key] = size
-        self.total_swaps += total_swaps
-        self.updates += len(distances)
-        return distances, None
+        results = [
+            self.access(key, size)
+            for key, size in zip(keys, [1] * len(keys) if sizes is None else sizes)
+        ]
+        byte_distances = [bd for _, bd in results] if self.tracks_sizes else None
+        return [d for d, _ in results], byte_distances
 
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:

@@ -5,7 +5,9 @@ cache's eviction sampling size ``K``, stream requests (or feed a whole
 :class:`~repro.workloads.trace.Trace`), and read out miss ratio curves at
 object or byte granularity.  Internally it wires together:
 
-* the :class:`~repro.core.krr.KRRStack` with the chosen update strategy,
+* the KRR stack with the chosen update strategy: the flat-array
+  :class:`~repro.stack.soa.SoAKRRStack` for ``backward`` and ``linear``,
+  the :class:`~repro.core.krr.KRRStack` oracle for ``topdown``,
 * the ``K' = K^1.4`` correction (§4.2, on by default),
 * SHARDS-style spatial sampling (§2.4, optional; ``sampling_rate="auto"``
   applies the paper's rate-selection rule),
@@ -34,7 +36,7 @@ from ..mrc.builder import from_byte_histogram, from_distance_histogram
 from ..mrc.curve import MissRatioCurve
 from ..sampling.spatial import SpatialSampler, choose_rate
 from ..stack.histogram import ByteDistanceHistogram, DistanceHistogram
-from ..stack.soa import SOA_STRATEGIES, SoAKRRStack
+from ..stack.soa import SOA_STRATEGIES, SoAKRRStack, as_key_ids
 from ..workloads.trace import Trace
 from .correction import DEFAULT_EXPONENT, corrected_k
 from .krr import KRRStack
@@ -130,7 +132,6 @@ class KRRModel:
             "byte_bin": int(byte_bin),
         }
         self._rng = ensure_rng(seed)
-        self._strategy_name = strategy
         self._auto_rate = sampling_rate == "auto"
         if sampling_rate is None:
             self._sampler: Optional[SpatialSampler] = None
@@ -138,18 +139,18 @@ class KRRModel:
             self._sampler = None  # resolved per trace in process()
         else:
             self._sampler = SpatialSampler(float(sampling_rate))
-        self._stack = KRRStack(
+        # The flat-array stack runs every strategy it implements; topdown
+        # has no array formulation and runs on the KRRStack oracle.
+        stack_type: "type[SoAKRRStack] | type[KRRStack]" = (
+            SoAKRRStack if strategy in SOA_STRATEGIES else KRRStack
+        )
+        self._stack: Union[SoAKRRStack, KRRStack] = stack_type(
             self.effective_k,
             strategy=strategy,
             rng=self._rng,
             track_sizes=track_sizes,
             size_array_base=size_array_base,
         )
-        # The SoA engine shares self._rng and is built lazily: strategy
-        # draw buffers only fill on first use, so whichever engine touches
-        # the generator first owns the (identical) stream.
-        self._soa: Optional[SoAKRRStack] = None
-        self._engine: Optional[str] = None
         scale = self._sampler.scale if self._sampler else 1.0
         self._obj_hist = DistanceHistogram(scale=scale)
         self._byte_hist = (
@@ -168,43 +169,15 @@ class KRRModel:
     def tracks_sizes(self) -> bool:
         return self._stack.tracks_sizes
 
-    @property
-    def engine(self) -> Optional[str]:
-        """The resolved streaming engine (None until the first request)."""
-        return self._engine
-
-    def _resolve_engine(self, engine: str) -> str:
-        """Validate and pin the engine; it is sticky once draws started."""
-        if engine not in ("auto", "scalar", "soa"):
-            raise ValueError(f"unknown engine {engine!r}")
-        soa_capable = (
-            self._strategy_name in SOA_STRATEGIES and not self.tracks_sizes
-        )
-        if engine == "auto":
-            if self._engine is not None:
-                return self._engine  # stay on whatever already drew
-            engine = "soa" if soa_capable else "scalar"
-        elif engine == "soa" and not soa_capable:
-            if self.tracks_sizes:
-                raise ValueError(
-                    "engine='soa' does not track byte distances; "
-                    "use engine='scalar' with track_sizes=True"
-                )
-            raise ValueError(
-                f"engine='soa' supports strategies {SOA_STRATEGIES}, "
-                f"not {self._strategy_name!r}"
-            )
-        if self._engine is None:
-            self._engine = engine
-        elif self._engine != engine:
-            raise RuntimeError(
-                f"model already streamed through engine={self._engine!r}; "
-                "engines share one RNG stream and cannot be switched mid-run"
-            )
-        return self._engine
-
-    def _resolve_auto_sampler(self, trace: Trace) -> None:
-        rate = choose_rate(max(1, trace.unique_objects()))
+    def _resolve_auto_rate(self, trace: Optional[Trace]) -> None:
+        """Pin ``sampling_rate="auto"`` before the first request: the
+        paper's rule for a whole trace, 0.001 for streaming use."""
+        if not self._auto_rate or self._sampler is not None:
+            return
+        if trace is None:
+            rate = 0.001
+        else:
+            rate = choose_rate(max(1, trace.unique_objects()))
         self._sampler = SpatialSampler(rate)
         self._obj_hist.scale = self._sampler.scale
         if self._byte_hist is not None:
@@ -212,163 +185,79 @@ class KRRModel:
 
     # ------------------------------------------------------------------
     def access(self, key: int, size: int = 1) -> None:
-        """Stream one request into the model (always the scalar engine)."""
-        self._resolve_engine("scalar")
-        if self._auto_rate and self._sampler is None:
-            # Streaming use without a trace: fall back to the default rate.
-            self._sampler = SpatialSampler(0.001)
-            self._obj_hist.scale = self._sampler.scale
-            if self._byte_hist is not None:
-                self._byte_hist.scale = self._sampler.scale
-        self.stats.requests_seen += 1
+        """Stream one request into the model (a one-request :meth:`access_many`).
+
+        A key the spatial filter drops is only counted, without the
+        batch path's array setup (the scalar ``keep`` and the vectorized
+        filter agree bit for bit).
+        """
+        self._resolve_auto_rate(None)
         if self._sampler is not None and not self._sampler.keep(key):
+            self.stats.requests_seen += 1
             return
-        self.stats.requests_sampled += 1
-        dist, byte_dist = self._stack.access(key, size)
-        if dist < 0:
-            self.stats.cold_misses += 1
-            self._obj_hist.record_cold()
-            if self._byte_hist is not None:
-                self._byte_hist.record_cold()
-        else:
-            self._obj_hist.record(dist)
-            if self._byte_hist is not None:
-                self._byte_hist.record(byte_dist)
+        self.access_many([key], [size])
 
     def access_many(
         self,
         keys: "list[int] | np.ndarray",
-        sizes: Optional["list[int]"] = None,
-        engine: str = "scalar",
+        sizes: "Optional[list[int] | np.ndarray]" = None,
     ) -> None:
         """Stream a batch of requests, without snapshotting.
 
         Draw-for-draw identical to calling :meth:`access` per request —
         same sampling decisions, same RNG consumption, same histograms —
         but batched: the spatial filter runs one vectorized hash pass and
-        the stack consumes one fused batch loop.  This is the incremental
-        sibling of :meth:`process` for callers that feed chunks of an
-        ongoing stream (the service ingest path, the cache's buffered
-        model feed).
-
-        ``engine`` follows the :meth:`process` contract (``"scalar"`` /
-        ``"soa"`` / ``"auto"``) and is sticky per model.  The default is
-        ``"scalar"`` — unlike :meth:`process` — because long-lived online
-        models need :meth:`state_dict`, which the SoA engine does not
-        support; callers that never snapshot (the cache) pass ``"auto"``.
+        the stack consumes the whole batch in one walk.  This is the
+        incremental sibling of :meth:`process` for callers that feed
+        chunks of an ongoing stream (the service ingest path, the cache's
+        buffered model feed).
 
         ``keys`` may be a list of Python ints or a NumPy integer column
-        (a ``uint64`` column is reinterpreted mod 2^64, exactly as scalar
-        ``splitmix64`` wraps).
+        (a ``uint64`` column, or ints outside the ``int64`` range, are
+        reinterpreted mod 2^64, exactly as scalar ``splitmix64`` wraps).
         """
-        engine = self._resolve_engine(engine)
-        if self._auto_rate and self._sampler is None:
-            self._sampler = SpatialSampler(0.001)
-            self._obj_hist.scale = self._sampler.scale
-            if self._byte_hist is not None:
-                self._byte_hist.scale = self._sampler.scale
+        self._resolve_auto_rate(None)
         n = len(keys)
         if n == 0:
             return
         self.stats.requests_seen += n
-        key_list: Optional[list] = None
-        if isinstance(keys, np.ndarray):
-            arr = (
-                keys.view(np.int64)
-                if keys.dtype == np.uint64
-                else np.asarray(keys, dtype=np.int64)
-            )
-        else:
-            key_list = list(keys)
-            try:
-                arr = np.asarray(key_list, dtype=np.int64)
-            except OverflowError:
-                # Keys outside int64 range (e.g. raw 64-bit hashes):
-                # wrap mod 2^64, exactly as scalar splitmix64 does.
-                arr = np.fromiter(
-                    (k & 0xFFFFFFFFFFFFFFFF for k in key_list),
-                    dtype=np.uint64,
-                    count=n,
-                ).view(np.int64)
+        arr = as_key_ids(keys)
+        size_col = None if sizes is None else np.asarray(sizes, dtype=np.int64)
         if self._sampler is not None:
             idx = self._sampler.filter_indices(arr)
             if int(idx.shape[0]) != n:
                 arr = arr[idx]
-                picks = idx.tolist()
-                if key_list is not None:
-                    key_list = [key_list[i] for i in picks]
-                if sizes is not None:
-                    sizes = [sizes[i] for i in picks]
-                n = int(arr.shape[0])
-        self.stats.requests_sampled += n
-        if n == 0:
-            return
-        if engine == "soa":
-            size_col = (
-                np.ones(n, dtype=np.int64)
-                if sizes is None
-                else np.asarray(sizes, dtype=np.int64)
-            )
-            self._process_soa(arr, size_col, None, None)
-        else:
-            distances, byte_distances = self._stack.access_many(
-                key_list if key_list is not None else arr.tolist(), sizes
-            )
-            self._obj_hist.record_many(distances)
-            if self._byte_hist is not None:
-                self._byte_hist.record_many(byte_distances)
-            self.stats.cold_misses += distances.count(-1)
+                if size_col is not None:
+                    size_col = size_col[idx]
+        self._feed(arr, size_col, None, None)
 
     def process(
         self,
         trace: Optional[Trace] = None,
         plan: Optional["TracePlan"] = None,
-        engine: str = "auto",
         stream: Optional["Iterable[Trace]"] = None,
     ) -> "KRRResult":
         """Feed a whole trace through the batched hot path and snapshot.
 
-        ``engine`` selects the streaming implementation:
-
-        * ``"scalar"`` — the fused per-access loop over the boxed
-          :class:`~repro.core.krr.KRRStack` (supports every strategy and
-          byte tracking).
-        * ``"soa"`` — the array-native
-          :class:`~repro.stack.soa.SoAKRRStack` (backward/linear only,
-          object granularity only; an order of magnitude faster when the
-          native kernel is available).
-        * ``"auto"`` (default) — ``"soa"`` whenever this model's
-          configuration supports it, else ``"scalar"``.
-
-        Both engines consume the model seed's stream in the identical
-        refill pattern and apply the identical update arithmetic, so the
-        choice is **bit-invisible**: distances, histograms and counters
-        match draw for draw (property-tested in ``tests/test_soa_engine``).
-        The engine is sticky per model — both share one generator, so
-        switching mid-run would desynchronize the stream and is refused.
-
-        On the scalar engine, three batch passes replace the per-access
-        loop: the spatial filter is applied to the key column vectorized,
-        the surviving columns are converted to Python lists once (NumPy
-        scalar unboxing inside the stack loop is ~10x slower) and fed to
-        :meth:`KRRStack.access_many`, and the resulting distance batch is
-        recorded into the histograms with one ``bincount`` pass each.
-        Statistically identical to streaming :meth:`access` per request
-        (draw-for-draw, given the same seed and sampler).
+        The spatial filter is applied to the key column vectorized, the
+        surviving columns go through the stack in one batch, and the
+        resulting distance batch is recorded into the histograms with
+        one ``bincount`` pass each.  Draw-for-draw identical to streaming
+        :meth:`access` per request, given the same seed and sampler.
 
         ``plan`` supplies a :class:`~repro.engine.plan.TracePlan` for this
         trace; its cached hash column and per-rate sampled-index cache
         replace the filter's hash pass entirely (the sweep engine shares
-        one plan across every grid cell and worker), and on the SoA
-        engine its cached factorization also replaces the stack's key
+        one plan across every grid cell and worker), and for object-level
+        models its cached factorization also replaces the stack's key
         interning.  The selected indices are identical either way.
 
         ``stream`` accepts a bounded-memory
         :class:`~repro.workloads.stream.TraceStream` (any iterable of
         trace chunks) instead of ``trace``: each chunk runs through the
         same batched hot path via :meth:`access_many`.  Because the
-        spatial filter is stateless per key and both engines buffer
-        their draws across calls, a streamed run is **bit-identical** to
+        spatial filter is stateless per key and the stacks buffer their
+        draws across calls, a streamed run is **bit-identical** to
         processing the concatenated trace in one shot, for any chunk
         size (property-tested in ``tests/test_stream.py``).  A stream
         has no whole-trace unique-object count, so
@@ -384,85 +273,66 @@ class KRRModel:
                     "plan caches whole-trace columns; streamed chunks "
                     "compute their columns per chunk instead"
                 )
-            return self._process_stream(stream, engine)
-        if trace is None:
-            raise ValueError("process() needs a trace or a stream")
-        engine = self._resolve_engine(engine)
-        if self._auto_rate and self._sampler is None:
-            self._resolve_auto_sampler(trace)
-        keys = trace.keys
-        sizes = trace.sizes
-        self.stats.requests_seen += int(keys.shape[0])
-        idx: Optional[np.ndarray] = None
-        if self._sampler is not None:
-            if plan is not None:
-                idx = plan.sample_indices(
-                    self._sampler.threshold,
-                    self._sampler.modulus,
-                    self._sampler.seed,
+            if self._auto_rate and self._sampler is None:
+                raise ValueError(
+                    "sampling_rate='auto' needs the whole trace's unique-object "
+                    "count up front; pass an explicit rate when streaming"
                 )
-            else:
-                idx = self._sampler.filter_indices(keys)
-            keys = keys[idx]
-            sizes = sizes[idx]
-        self.stats.requests_sampled += int(keys.shape[0])
-        if engine == "soa":
-            self._process_soa(keys, sizes, plan, idx)
+            for chunk in stream:
+                self.access_many(chunk.keys, chunk.sizes)
+        elif trace is None:
+            raise ValueError("process() needs a trace or a stream")
         else:
-            distances, byte_distances = self._stack.access_many(
-                keys.tolist(), sizes.tolist()
-            )
-            self._obj_hist.record_many(distances)
-            if self._byte_hist is not None:
-                self._byte_hist.record_many(byte_distances)
-            self.stats.cold_misses += distances.count(-1)
+            self._resolve_auto_rate(trace)
+            keys = trace.keys
+            sizes = trace.sizes
+            self.stats.requests_seen += int(keys.shape[0])
+            idx: Optional[np.ndarray] = None
+            if self._sampler is not None:
+                if plan is not None:
+                    idx = plan.sample_indices(
+                        self._sampler.threshold,
+                        self._sampler.modulus,
+                        self._sampler.seed,
+                    )
+                else:
+                    idx = self._sampler.filter_indices(keys)
+                keys = keys[idx]
+                sizes = sizes[idx]
+            self._feed(keys, sizes, plan, idx)
         self._sync_stats()
         return self.result()
 
-    def _process_stream(self, stream: "Iterable[Trace]", engine: str) -> "KRRResult":
-        """Streamed half of :meth:`process`: one hot-path pass per chunk."""
-        engine = self._resolve_engine(engine)
-        if self._auto_rate and self._sampler is None:
-            raise ValueError(
-                "sampling_rate='auto' needs the whole trace's unique-object "
-                "count up front; pass an explicit rate when streaming"
-            )
-        for chunk in stream:
-            self.access_many(chunk.keys, chunk.sizes.tolist(), engine=engine)
-        self._sync_stats()
-        return self.result()
-
-    def _process_soa(
+    def _feed(
         self,
         keys: np.ndarray,
-        sizes: np.ndarray,
+        sizes: Optional[np.ndarray],
         plan: Optional["TracePlan"],
         idx: Optional[np.ndarray],
     ) -> None:
-        """SoA half of :meth:`process`: flat-array stack, numpy distances."""
-        if self._soa is None:
-            self._soa = SoAKRRStack(
-                self.effective_k, strategy=self._strategy_name, rng=self._rng
+        """Run sampled requests through the stack into the histograms."""
+        self.stats.requests_sampled += int(keys.shape[0])
+        stack = self._stack
+        distances: "np.ndarray | list[int]"
+        byte_distances: "Optional[np.ndarray | list[float]]"
+        if isinstance(stack, KRRStack):
+            distances, byte_distances = stack.access_many(
+                keys.tolist(), None if sizes is None else sizes.tolist()
             )
-        stack = self._soa
-        use_plan_ids = plan is not None and not stack.has_interned_keys
-        if use_plan_ids:
-            assert plan is not None
+        elif plan is not None and not stack.has_interned_keys and not self.tracks_sizes:
             kids = plan.key_ids if idx is None else plan.key_ids[idx]
-            distances = stack.access_many_ids(
-                np.ascontiguousarray(kids, dtype=np.int64),
-                plan.unique_keys,
-                sizes,
-            )
+            distances = stack.access_many_ids(kids, plan.unique_keys, sizes)
+            byte_distances = None
         else:
-            distances, _ = stack.access_many(keys, sizes)
+            distances, byte_distances = stack.access_many(keys, sizes)
         self._obj_hist.record_many(distances)
-        self.stats.cold_misses += int(np.count_nonzero(distances == -1))
+        if self._byte_hist is not None:
+            self._byte_hist.record_many(byte_distances)
+        self.stats.cold_misses += int(np.count_nonzero(np.asarray(distances) == -1))
 
     def _sync_stats(self) -> None:
-        stack = self._soa if self._soa is not None else self._stack
-        self.stats.stack_updates = stack.updates
-        self.stats.swap_positions = stack.total_swaps
+        self.stats.stack_updates = self._stack.updates
+        self.stats.swap_positions = self._stack.total_swaps
 
     # ------------------------------------------------------------------
     def mrc(self, max_size: int | None = None, label: str | None = None) -> MissRatioCurve:
@@ -491,7 +361,7 @@ class KRRModel:
     STATE_VERSION = 1
 
     def state_dict(self) -> dict:
-        """JSON-safe snapshot of the full model state (scalar engine).
+        """JSON-safe snapshot of the full model state.
 
         Captures the constructor configuration, the PCG64 generator state,
         the strategy's buffered draws, the stack, both histograms, the
@@ -499,23 +369,17 @@ class KRRModel:
         :meth:`load_state`/:meth:`from_state` to resume *bit-identically*:
         a restored model consumes the identical draw stream and reports
         the identical curves as one that never stopped (floats survive
-        JSON via ``repr`` round-tripping).
-
-        Raises :class:`NotImplementedError` once the SoA engine holds
-        state; snapshotting covers the scalar streaming path (the one
-        long-lived online models use).
+        JSON via ``repr`` round-tripping).  The stack part has one schema
+        whichever stack backs the strategy (see
+        :meth:`SoAKRRStack.state_dict`).  A model fed through a
+        :class:`~repro.engine.plan.TracePlan` snapshots its keys from the
+        plan's key table.
         """
-        if self._soa is not None:
-            raise NotImplementedError(
-                "state_dict() supports the scalar engine; this model has "
-                "streamed through engine='soa'"
-            )
         rng_state = self._rng.bit_generator.state
         return {
             "kind": self.STATE_KIND,
             "version": self.STATE_VERSION,
             "config": dict(self._config),
-            "engine": self._engine,
             "rng": rng_state,
             "stack": self._stack.state_dict(),
             "obj_hist": self._obj_hist.state_dict(),
@@ -550,10 +414,8 @@ class KRRModel:
                 "model state was captured under a different configuration: "
                 f"{state['config']!r} != {self._config!r}"
             )
-        engine = state.get("engine")
-        if engine == "soa":  # pragma: no cover - state_dict refuses first
-            raise NotImplementedError("cannot restore SoA-engine state")
-        self._engine = engine
+        # Snapshots written before the stacks were unified carry an
+        # "engine" key; the stack state itself has the same schema.
         self._rng.bit_generator.state = state["rng"]
         self._stack.load_state(state["stack"])
         self._obj_hist.load_state(state["obj_hist"])

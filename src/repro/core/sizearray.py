@@ -24,8 +24,38 @@ import numpy as np
 
 __all__ = [
     "SizeArray",
+    "interpolate",
 ]
 
+
+def interpolate(
+    phi: int,
+    boundaries: Sequence[int],
+    sums: Sequence[int],
+    length: int,
+    total: int,
+) -> float:
+    """Algorithm 3 over raw anchors (positions ``b^0, b^1, ...`` and their
+    prefix sums; the whole stack is the anchor past the last one): the
+    interpolated bytes in positions ``1..phi``.  Shared by
+    :class:`SizeArray` and the SoA stack, so both round identically."""
+    # Largest anchor with boundary <= phi (b^0 = 1 <= phi always).
+    idx = int(np.searchsorted(boundaries, phi, side="right")) - 1
+    sd_low = boundaries[idx]
+    low_sum = sums[idx]
+    if sd_low == phi:
+        return float(low_sum)
+    if idx + 1 < len(boundaries):
+        sd_high = boundaries[idx + 1]
+        high_sum = sums[idx + 1]
+    else:
+        # phi sits past the last anchor: anchor on the full stack.
+        sd_high = length
+        high_sum = total
+        if sd_high == sd_low:
+            return float(low_sum)
+    frac = (phi - sd_low) / (sd_high - sd_low)
+    return low_sum + (high_sum - low_sum) * frac
 
 
 class SizeArray:
@@ -164,26 +194,4 @@ class SizeArray:
         """Algorithm 3: interpolated bytes in stack positions ``1 .. phi``."""
         if phi < 1 or phi > self._length:
             raise ValueError(f"phi={phi} outside stack of length {self._length}")
-        boundaries = self._boundaries
-        sums = self._sums
-        # Largest anchor with boundary <= phi (b^0 = 1 <= phi always).
-        idx = int(np.searchsorted(boundaries, phi, side="right")) - 1
-        sd_low = boundaries[idx]
-        low_sum = sums[idx]
-        if sd_low == phi:
-            return float(low_sum)
-        if idx + 1 < len(boundaries):
-            sd_high = boundaries[idx + 1]
-            high_sum = sums[idx + 1]
-        else:
-            # phi sits past the last anchor: anchor on the full stack.
-            sd_high = self._length
-            high_sum = self._total
-            if sd_high == sd_low:
-                return float(low_sum)
-        frac = (phi - sd_low) / (sd_high - sd_low)
-        return low_sum + (high_sum - low_sum) * frac
-
-    def exact_prefix(self, sizes_in_stack_order: Sequence[int], phi: int) -> int:
-        """Exact bytes in positions ``1..phi`` given true sizes (test oracle)."""
-        return int(sum(sizes_in_stack_order[:phi]))
+        return interpolate(phi, self._boundaries, self._sums, self._length, self._total)

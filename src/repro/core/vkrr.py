@@ -23,9 +23,10 @@ to an independent ``KRRModel.process`` run with the matching seed
 Configurations are duck-typed: anything with ``k``, ``strategy``,
 ``sampling_rate`` and ``correction`` attributes works, so
 :class:`~repro.engine.sweep.SweepConfig` instances can be passed
-directly.  Strategies are limited to the SoA-capable set
-(``backward``/``linear``); byte-level tracking (``track_sizes``) needs
-the scalar engine — use :class:`ModelSweep` for those grids.
+directly.  Strategies are limited to the SoA set
+(``backward``/``linear``), at object granularity; ``topdown`` and
+byte-level (``track_sizes``) grids run one :class:`KRRModel` per cell —
+use :class:`ModelSweep` for those.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class MultiKRR:
             if strategy not in SOA_STRATEGIES:
                 raise ValueError(
                     f"MultiKRR supports strategies {SOA_STRATEGIES}; "
-                    f"{strategy!r} needs the scalar engine (ModelSweep)"
+                    f"{strategy!r} needs one KRRModel per cell (ModelSweep)"
                 )
             if getattr(cfg, "track_sizes", False):
                 raise ValueError(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+import numpy as np
+
 from .._util import RngLike, check_positive, ensure_rng
 from ..mrc.curve import MissRatioCurve
 from ..workloads.trace import Trace
@@ -73,26 +75,19 @@ class WindowedKRRModel:
         self._current.access(key, size)
         self._warming.access(key, size)
         if self._since_rotation >= self._half:
-            # The warming model now holds half a window: promote it.
-            self._current = self._warming
-            self._warming = self._fresh()
-            self._since_rotation = 0
-            self.rotations += 1
+            self._rotate()
 
     def access_many(
         self,
-        keys: "list[int]",
-        sizes: "Optional[list[int]]" = None,
-        engine: str = "scalar",
+        keys: "list[int] | np.ndarray",
+        sizes: "Optional[list[int] | np.ndarray]" = None,
     ) -> None:
         """Stream a batch of requests (the service and cache ingest path).
 
-        Equivalent to calling :meth:`access` per request — same rotation
-        points, same draws — but batched: the stream is split at the
-        rotation boundaries and each segment goes through the two
-        generations' :meth:`KRRModel.access_many` fused batch path.
-        ``engine`` is forwarded per the :meth:`KRRModel.access_many`
-        contract (``"scalar"`` default; snapshotting requires it).
+        The stream is split at the rotation boundaries (every half
+        window) and each segment goes through both generations'
+        :meth:`KRRModel.access_many`, so a batch lands exactly where the
+        same requests fed one at a time would.
         """
         n = len(keys)
         start = 0
@@ -101,22 +96,23 @@ class WindowedKRRModel:
             stop = start + take
             chunk_keys = keys[start:stop]
             chunk_sizes = sizes[start:stop] if sizes is not None else None
-            self._current.access_many(chunk_keys, chunk_sizes, engine=engine)
-            self._warming.access_many(chunk_keys, chunk_sizes, engine=engine)
+            self._current.access_many(chunk_keys, chunk_sizes)
+            self._warming.access_many(chunk_keys, chunk_sizes)
             self.requests_seen += take
             self._since_rotation += take
             start = stop
             if self._since_rotation >= self._half:
-                self._current = self._warming
-                self._warming = self._fresh()
-                self._since_rotation = 0
-                self.rotations += 1
+                self._rotate()
+
+    def _rotate(self) -> None:
+        # The warming model now holds half a window: promote it.
+        self._current = self._warming
+        self._warming = self._fresh()
+        self._since_rotation = 0
+        self.rotations += 1
 
     def process(self, trace: Trace) -> "WindowedKRRModel":
-        keys = trace.keys
-        sizes = trace.sizes
-        for i in range(keys.shape[0]):
-            self.access(int(keys[i]), int(sizes[i]))
+        self.access_many(trace.keys, trace.sizes)
         return self
 
     # ------------------------------------------------------------------

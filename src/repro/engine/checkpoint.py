@@ -24,6 +24,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .._util import _fsync_dir
+
 __all__ = [
     "CheckpointMismatch",
     "SweepCheckpoint",
@@ -36,18 +38,6 @@ Row = Tuple[int, np.ndarray, np.ndarray, str, dict]
 
 class CheckpointMismatch(ValueError):
     """The checkpoint on disk was written by a different sweep."""
-
-
-def _fsync_dir(path: Path) -> None:
-    """Persist a directory entry change (new checkpoint file) to disk."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SweepCheckpoint:

@@ -8,12 +8,13 @@ trace — each worker opens its trace as a bounded-memory
 :class:`~repro.workloads.stream.TraceStream` and evaluates the whole
 grid in at most two streaming passes:
 
-* SoA-capable cells (``backward``/``linear``, object granularity) run as
-  one streamed :class:`~repro.core.vkrr.MultiKRR` pass — every cell
-  consumes each chunk while it is hot, sharing the incremental interner
-  and per-chunk hash columns;
-* the remaining scalar cells (``topdown``, ``track_sizes``) share a
-  second pass, every model fed chunk by chunk.
+* object-level ``backward``/``linear`` cells run as one streamed
+  :class:`~repro.core.vkrr.MultiKRR` pass — every cell consumes each
+  chunk while it is hot, sharing the incremental interner and per-chunk
+  hash columns;
+* the remaining cells (``topdown``, ``track_sizes``) share a second
+  pass, one :class:`~repro.core.model.KRRModel` each, fed chunk by
+  chunk.
 
 **Hierarchical checkpoints.**  Under ``checkpoint_dir`` the fleet writes
 a ``fleet.json`` manifest (validated on resume: seed, grid, trace list)
@@ -34,7 +35,6 @@ and crash/resume cannot change any result.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -47,7 +47,7 @@ from ..core.vkrr import MultiKRR, spawn_seeds
 from ..stack.soa import SOA_STRATEGIES
 from ..workloads.stream import DEFAULT_CHUNK, open_trace_stream
 from ..workloads.trace import Trace
-from .checkpoint import CheckpointMismatch, Row, SweepCheckpoint, _fsync_dir
+from .checkpoint import CheckpointMismatch, Row, SweepCheckpoint
 from .faults import maybe_inject
 from .runner import ResilientRunner, RunReport, resolve_workers
 from .sweep import SweepConfig, SweepResult
@@ -95,7 +95,8 @@ def _source_label(source: object) -> str:
     return str(source)
 
 
-def _soa_capable(config: SweepConfig) -> bool:
+def _multi_capable(config: SweepConfig) -> bool:
+    """Cells one :class:`MultiKRR` pass can evaluate."""
     return config.strategy in SOA_STRATEGIES and not config.track_sizes
 
 
@@ -130,17 +131,17 @@ def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
     missing = [i for i in range(len(configs)) if i not in rows]
     if missing:
         stream = open_trace_stream(source, chunk_size, errors)
-        soa_cells = [i for i in missing if _soa_capable(configs[i])]
-        scalar_cells = [i for i in missing if not _soa_capable(configs[i])]
-        if soa_cells:
-            # One streamed pass evaluates every SoA cell; explicit seeds
+        multi_cells = [i for i in missing if _multi_capable(configs[i])]
+        model_cells = [i for i in missing if not _multi_capable(configs[i])]
+        if multi_cells:
+            # One streamed pass evaluates every MultiKRR cell; explicit seeds
             # keep each cell on its original grid position's stream even
             # when only a subset of the grid is missing (resume).
             grid = MultiKRR(
-                [configs[i] for i in soa_cells],
-                seeds=[seeds[i] for i in soa_cells],
+                [configs[i] for i in multi_cells],
+                seeds=[seeds[i] for i in multi_cells],
             )
-            for i, res in zip(soa_cells, grid.run(stream=stream, max_size=max_size)):
+            for i, res in zip(multi_cells, grid.run(stream=stream, max_size=max_size)):
                 row: Row = (
                     i,
                     res.sizes,
@@ -157,9 +158,9 @@ def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
                 rows[i] = row
                 if ckpt is not None:
                     ckpt.append(row)
-        if scalar_cells:
-            # The scalar cells share one more streamed pass: every model
-            # consumes each chunk while it is hot.
+        if model_cells:
+            # The remaining cells share one more streamed pass: every
+            # model consumes each chunk while it is hot.
             models = {
                 i: KRRModel(
                     k=configs[i].k,
@@ -169,12 +170,11 @@ def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
                     track_sizes=configs[i].track_sizes,
                     seed=seeds[i],
                 )
-                for i in scalar_cells
+                for i in model_cells
             }
             for chunk in stream:
-                sizes = chunk.sizes.tolist()
                 for model in models.values():
-                    model.access_many(chunk.keys, sizes, engine="scalar")
+                    model.access_many(chunk.keys, chunk.sizes)
             for i, model in models.items():
                 if configs[i].track_sizes:
                     curve = model.byte_mrc()
@@ -454,13 +454,10 @@ class FleetSweep:
                     "changed) — delete it or point --checkpoint-dir elsewhere"
                 )
             return
-        tmp = manifest_path.with_suffix(".json.tmp")
-        with tmp.open("w") as fh:
-            fh.write(json.dumps(expected, indent=2) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(manifest_path)
-        _fsync_dir(ckpt_dir)
+        # Deferred: the service package imports the whole daemon.
+        from ..service.snapshot import write_atomic
+
+        write_atomic(manifest_path, (json.dumps(expected, indent=2) + "\n").encode())
 
 
 def fleet_sweep(

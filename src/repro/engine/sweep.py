@@ -116,10 +116,10 @@ def _install_trace(
 
 
 def _model_one(
-    args: Tuple[int, SweepConfig, int, Optional[int], str]
+    args: Tuple[int, SweepConfig, int, Optional[int]]
 ) -> Tuple[int, np.ndarray, np.ndarray, str, dict]:
     """Run one configuration against the worker's trace; return raw arrays."""
-    index, config, seed, max_size, engine = args
+    index, config, seed, max_size = args
     maybe_inject(index)
     trace = _WORKER_TRACE
     if trace is None:  # pragma: no cover - initializer contract violation
@@ -132,7 +132,7 @@ def _model_one(
         track_sizes=config.track_sizes,
         seed=seed,
     )
-    result = model.process(trace, plan=_WORKER_PLAN, engine=engine)
+    result = model.process(trace, plan=_WORKER_PLAN)
     if config.track_sizes:
         curve = result.byte_mrc()
         unit = "bytes"
@@ -151,7 +151,7 @@ def _model_one(
 
 
 def _model_batch(
-    payloads: Tuple[Tuple[int, SweepConfig, int, Optional[int], str], ...]
+    payloads: Tuple[Tuple[int, SweepConfig, int, Optional[int]], ...]
 ) -> List[Tuple[int, np.ndarray, np.ndarray, str, dict]]:
     """Run several grid cells in one worker round-trip (task batching).
 
@@ -235,7 +235,7 @@ class ModelSweep:
         ``max_workers=1`` runs serially in-process (no pool, no shared
         memory).  Either way the miss-ratio grids are bit-identical.
         Keyword arguments (``task_timeout``, ``retries``, ``checkpoint``,
-        ``engine``, ...) are forwarded to :meth:`run_with_report`.
+        ``chunk_size``, ...) are forwarded to :meth:`run_with_report`.
         """
         results, _ = self.run_with_report(
             trace, max_workers=max_workers, max_size=max_size, **runner_kwargs
@@ -254,7 +254,6 @@ class ModelSweep:
         max_pool_rebuilds: int = 3,
         checkpoint: Union[str, Path, None] = None,
         chunk_size: Union[None, int, str] = None,
-        engine: str = "auto",
     ) -> Tuple[List[SweepResult], RunReport]:
         """Fault-tolerant evaluation: ``(results, RunReport)``.
 
@@ -285,18 +284,10 @@ class ModelSweep:
         ``checkpoint`` names a JSON-lines file: finished rows stream to it
         as they complete, and a rerun with the same sweep/trace skips the
         grid positions already on disk (resume).
-
-        ``engine`` selects each cell's streaming implementation
-        (``"scalar"``, ``"soa"``, or ``"auto"``; see
-        :meth:`KRRModel.process`).  Like ``chunk_size`` it cannot change
-        results — both engines are draw-for-draw identical — so it is
-        absent from the checkpoint signature and a resume may switch it.
         """
-        if engine not in ("auto", "scalar", "soa"):
-            raise ValueError(f"unknown engine {engine!r}")
         seeds = self.config_seeds()
-        tasks: List[Tuple[int, SweepConfig, int, Optional[int], str]] = [
-            (i, cfg, seeds[i], max_size, engine)
+        tasks: List[Tuple[int, SweepConfig, int, Optional[int]]] = [
+            (i, cfg, seeds[i], max_size)
             for i, cfg in enumerate(self.configs)
         ]
 

@@ -34,6 +34,8 @@ import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from .._util import _fsync_dir
+
 __all__ = [
     "SnapshotError",
     "SnapshotStore",
@@ -43,18 +45,6 @@ __all__ = [
 
 class SnapshotError(RuntimeError):
     """No verifiable snapshot could be loaded."""
-
-
-def _fsync_dir(path: Path) -> None:
-    """Persist a directory entry change (rename/unlink) to disk."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def write_atomic(path: Path, data: bytes) -> None:

@@ -29,7 +29,7 @@ import warnings
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Tuple
 
-from .snapshot import _fsync_dir
+from .._util import _fsync_dir
 
 __all__ = [
     "TenantWAL",

@@ -94,7 +94,12 @@ def _build_library(source: Path) -> Optional[Path]:
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
-        cmd = [cc, "-O3", "-shared", "-fPIC", *extra, "-o", tmp_name, str(source)]
+        # No FMA contraction: the sizeArray interpolation must round
+        # exactly like the Python oracle's separate multiply and add.
+        cmd = [
+            cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC", *extra,
+            "-o", tmp_name, str(source),
+        ]
         proc = subprocess.run(
             cmd,
             stdout=subprocess.PIPE,
@@ -122,11 +127,15 @@ class BackwardKernel:
         fn.argtypes = [
             ctypes.c_void_p,  # kids
             ctypes.c_int64,   # n
+            ctypes.c_void_p,  # req_sizes (NULL = keep sizes)
             ctypes.c_void_p,  # stack
             ctypes.c_void_p,  # pos
+            ctypes.c_void_p,  # sizes
             ctypes.c_void_p,  # buf
             ctypes.c_int64,   # block
             ctypes.c_void_p,  # distances
+            ctypes.c_void_p,  # byte_distances
+            ctypes.c_void_p,  # anchors
             ctypes.c_void_p,  # state
         ]
         self._fn = fn
@@ -134,25 +143,34 @@ class BackwardKernel:
     def run(
         self,
         kids: np.ndarray,
+        req_sizes: Optional[np.ndarray],
         stack: np.ndarray,
         pos: np.ndarray,
+        sizes: np.ndarray,
         buf: np.ndarray,
         distances: np.ndarray,
+        byte_distances: np.ndarray,
+        anchors: np.ndarray,
         state: np.ndarray,
     ) -> bool:
         """One kernel call; True = chunk done, False = refill ``buf`` first.
 
         All arrays must be C-contiguous (``int64`` except the ``float64``
-        draw buffer); the caller owns buffer refills and state resets.
+        draw buffer and byte distances); the caller owns buffer refills
+        and state resets.  ``req_sizes=None`` leaves ``sizes`` untouched.
         """
         done = self._fn(
             kids.ctypes.data,
             kids.shape[0],
+            None if req_sizes is None else req_sizes.ctypes.data,
             stack.ctypes.data,
             pos.ctypes.data,
+            sizes.ctypes.data,
             buf.ctypes.data,
             buf.shape[0],
             distances.ctypes.data,
+            byte_distances.ctypes.data,
+            anchors.ctypes.data,
             state.ctypes.data,
         )
         return bool(done)

@@ -180,7 +180,9 @@ def save_chunked(
     Input chunk boundaries are re-buffered, so converting a stream read
     with one chunk size to a directory with another is lossless.  The
     manifest is written last: a crashed conversion leaves no manifest
-    and :class:`ChunkedTraceReader` refuses the directory.
+    and :class:`ChunkedTraceReader` refuses the directory; the manifest
+    goes through :func:`~repro.service.snapshot.write_atomic` (file and
+    directory fsync), so a finished conversion survives a host crash.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -256,9 +258,11 @@ def save_chunked(
         "skipped_rows": int(skipped),
         "chunks": entries,
     }
-    tmp = manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    tmp.replace(manifest_path)
+    # Deferred: the service package imports the model stack, which
+    # imports this module.
+    from ..service.snapshot import write_atomic
+
+    write_atomic(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
     return directory
 
 

@@ -105,6 +105,30 @@ class TestByteAccounting:
             assert 1 in c and 2 not in c
             assert c.used_bytes == 90
 
+    def test_used_bytes_within_budget_during_eviction(self, monkeypatch):
+        """``used_bytes`` is read without the lock, so it must stay within
+        the budget at every instant: sample it from inside each victim
+        draw, while an insert, a growing overwrite and a shrink evict."""
+        import repro.cache.lru as lru_mod
+
+        cache = SamplingLRUCache(100, k=4, seed=1)
+        seen = []
+        draw = lru_mod.select_victim
+
+        def probe(*args, **kwargs):
+            seen.append((cache.used_bytes, cache.capacity_bytes))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(lru_mod, "select_victim", probe)
+        for key in range(10):
+            cache.put(key, None, size=30)
+        cache.put(9, None, size=90)
+        cache.put(1, None, size=20)
+        cache.resize(40)
+        assert len(seen) >= 10
+        assert all(used <= capacity for used, capacity in seen)
+        assert cache.used_bytes <= cache.capacity_bytes == 40
+
     def test_lone_resident_outgrowing_budget_is_dropped(self):
         c = SamplingLRUCache(100, seed=0)
         c.put(1, None, size=50)

@@ -89,15 +89,15 @@ class TestStreamingVsBatch:
         assert a.state_dict() == b.state_dict()
 
     def test_access_many_soa_engine_matches_scalar(self):
-        # engine="auto" may route through the SoA stack; the curves and
-        # counters must match the scalar engine draw for draw.
+        # A NumPy key column through the batched path must match the
+        # per-request path draw for draw.
         trace = _zipf_trace(150, 2500)
         keys = [int(k) for k in trace.keys]
         a = KRRModel(k=4, sampling_rate=0.5, seed=13)
         for key in keys:
             a.access(key)
         b = KRRModel(k=4, sampling_rate=0.5, seed=13)
-        b.access_many(np.asarray(keys, dtype=np.int64), engine="auto")
+        b.access_many(np.asarray(keys, dtype=np.int64))
         np.testing.assert_array_equal(a.mrc().miss_ratios, b.mrc().miss_ratios)
         assert (a.stats.requests_seen, a.stats.requests_sampled,
                 a.stats.cold_misses) == (

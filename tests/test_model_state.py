@@ -12,11 +12,16 @@ through a real ``json.dumps``/``loads`` round-trip, and compares final
 
 from __future__ import annotations
 
+import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._util import ensure_rng
 from repro.baselines.shards import Shards
 from repro.core.model import KRRModel
 from repro.core.windowed import WindowedKRRModel
@@ -165,12 +170,85 @@ def test_spatial_sampler_state_preserves_exact_threshold():
         assert restored.keep(key) == sampler.keep(key)
 
 
-def test_soa_engine_state_not_supported():
-    model = KRRModel(k=4, seed=1)
-    trace_keys = np.asarray(_keys(500), dtype=np.int64)
-    from repro.workloads.trace import Trace
+@settings(max_examples=25, deadline=None)
+@given(
+    strategy=st.sampled_from(["backward", "linear"]),
+    track_sizes=st.booleans(),
+    rate=st.sampled_from([None, 0.5]),
+    cut=st.integers(min_value=0, max_value=3_000),
+    batch=st.sampled_from([1, 97, 3_000]),
+)
+def test_soa_model_cut_anywhere_resumes_bit_identically(
+    strategy, track_sizes, rate, cut, batch
+):
+    """SoA-backed models snapshot anywhere — mid draw block included — and
+    a restored model continues exactly like one that never stopped."""
+    keys = _keys(3_000, objects=120)
+    sizes = [((k * 2654435761) % 900) + 10 for k in keys]
+    kwargs = dict(k=4, strategy=strategy, sampling_rate=rate,
+                  track_sizes=track_sizes, seed=21)
+    full = KRRModel(**kwargs)
+    full.access_many(keys, sizes)
 
-    model.process(Trace(trace_keys), engine="soa")
-    if model._soa is not None:
-        with pytest.raises(NotImplementedError):
-            model.state_dict()
+    first = KRRModel(**kwargs)
+    for lo in range(0, cut, batch):
+        hi = min(cut, lo + batch)
+        first.access_many(keys[lo:hi], sizes[lo:hi])
+    resumed = KRRModel.from_state(_roundtrip(first.state_dict()))
+    resumed.access_many(keys[cut:], sizes[cut:])
+
+    assert resumed.state_dict() == full.state_dict()
+    a, b = resumed.mrc(), full.mrc()
+    assert np.array_equal(a.miss_ratios, b.miss_ratios)
+    if track_sizes:
+        assert np.array_equal(
+            resumed.byte_mrc().miss_ratios, full.byte_mrc().miss_ratios
+        )
+
+
+def _fixture_stream(seed: int, n: int) -> tuple[list, list]:
+    """The request stream ``tests/data/windowed_state_v1.json.gz`` saw."""
+    rng = ensure_rng(seed)
+    keys = (rng.zipf(1.3, size=n) % 1500).astype(np.int64)
+    keys[::97] += 2**63 - 3000  # some ids near the top of the int64 range
+    sizes = rng.integers(16, 5000, size=n).astype(np.int64)
+    return keys.tolist(), sizes.tolist()
+
+
+#: Configurations of the snapshots in the fixture, by name.
+_FIXTURE_CONFIGS = {
+    "objects": dict(k=5, window=4000, seed=17),
+    "bytes": dict(k=3, window=2500, sampling_rate=0.5, track_sizes=True, seed=23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_CONFIGS))
+def test_snapshot_from_scalar_stack_resumes_bit_identically(name):
+    """A service snapshot written when every online model ran on the boxed
+    KRRStack restores into the SoA stack and resumes bit for bit.
+
+    The fixture holds, per configuration, ``WindowedKRRModel(**config)``
+    after ``access_many`` of the first 3000 requests of
+    ``_fixture_stream(5, 6000)``, as that older code wrote it.
+    """
+    path = Path(__file__).parent / "data" / "windowed_state_v1.json.gz"
+    with gzip.open(path, "rt") as fh:
+        state = json.load(fh)[name]
+    keys, sizes = _fixture_stream(5, 6000)
+    config = _FIXTURE_CONFIGS[name]
+
+    live = WindowedKRRModel(**config)
+    live.access_many(keys[:3000], sizes[:3000])
+    live.access_many(keys[3000:], sizes[3000:])
+    restored = WindowedKRRModel.from_state(state)
+    restored.access_many(keys[3000:], sizes[3000:])
+
+    assert restored.rotations == live.rotations >= 2
+    assert restored.state_dict() == live.state_dict()
+    a, b = restored.mrc(), live.mrc()
+    assert np.array_equal(a.sizes, b.sizes)
+    assert np.array_equal(a.miss_ratios, b.miss_ratios)
+    if config.get("track_sizes"):
+        assert np.array_equal(
+            restored.byte_mrc().miss_ratios, live.byte_mrc().miss_ratios
+        )

@@ -87,7 +87,7 @@ class TestCParser:
         exports = parse_c_exports(text)
         assert [e.name for e in exports] == ["krr_backward_chunk"]
         (export,) = exports
-        assert len(export.params) == 8
+        assert len(export.params) == 12
         assert export.ret_kind == "i64"
 
 

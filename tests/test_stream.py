@@ -4,13 +4,14 @@ Hypothesis drives the contracts the streaming layer lives or dies by:
 
 * the chunk-dir (``save_chunked``) format round-trips any trace for any
   chunk size, and its reader detects shard corruption;
-* every streamed hot path — ``KRRModel`` (scalar and SoA engines),
+* every streamed hot path — ``KRRModel`` (every strategy),
   the one-pass ``MultiKRR`` grid, SHARDS, the simulators — produces
   *bit-identical* results to the in-memory run, for any chunking.
 """
 
 import gzip
 import json
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,29 @@ def test_interrupted_conversion_is_refused(tmp_path):
         ChunkedTraceReader(d)
 
 
+def test_manifest_and_directory_are_fsynced(tmp_path, monkeypatch):
+    """The manifest is the commit point of a conversion: its bytes and its
+    directory entry both reach disk (one file and one directory fsync)."""
+    synced = []
+    fsync = os.fsync
+
+    def record(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    d = save_chunked(iter_chunks(_trace(np.arange(40) % 9), 16), tmp_path / "t.chunks",
+                     chunk_size=16)
+
+    def ident(path):
+        st = path.stat()
+        return (st.st_dev, st.st_ino)
+
+    assert synced.count(ident(d / "manifest.json")) == 1
+    assert synced.count(ident(d)) == 1
+
+
 def test_chunk_dir_preserves_skipped_rows(tmp_path):
     csv = tmp_path / "t.csv"
     csv.write_text("key,size\n1,10\n2,\nbogus\n3,30\n")
@@ -204,7 +228,7 @@ def test_open_trace_stream_dispatch(tmp_path):
 # ----------------------------------------------------------------------
 # streamed == in-memory, bit for bit
 # ----------------------------------------------------------------------
-engine_st = st.sampled_from(["scalar", "soa"])
+strategy_st = st.sampled_from(["backward", "linear", "topdown"])
 rate_st = st.sampled_from([None, 0.5])
 
 
@@ -212,15 +236,15 @@ rate_st = st.sampled_from([None, 0.5])
 @given(
     trace=trace_st,
     chunk_size=st.integers(1, 97),
-    engine=engine_st,
+    strategy=strategy_st,
     rate=rate_st,
     k=st.integers(1, 6),
 )
-def test_streamed_krr_model_bit_identical(trace, chunk_size, engine, rate, k):
-    mem = KRRModel(k=k, sampling_rate=rate, seed=5)
-    mem.process(trace, engine=engine)
-    streamed = KRRModel(k=k, sampling_rate=rate, seed=5)
-    streamed.process(stream=iter_chunks(trace, chunk_size), engine=engine)
+def test_streamed_krr_model_bit_identical(trace, chunk_size, strategy, rate, k):
+    mem = KRRModel(k=k, strategy=strategy, sampling_rate=rate, seed=5)
+    mem.process(trace)
+    streamed = KRRModel(k=k, strategy=strategy, sampling_rate=rate, seed=5)
+    streamed.process(stream=iter_chunks(trace, chunk_size))
     assert mem.stats == streamed.stats
     if mem.stats.requests_sampled:  # else both histograms are empty
         assert np.array_equal(mem.mrc().miss_ratios, streamed.mrc().miss_ratios)

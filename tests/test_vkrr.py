@@ -121,19 +121,3 @@ class TestValidation:
         assert curve.label == "K=2/backward/full"
         assert curve.sizes.shape == rows[0].sizes.shape
 
-
-class TestSweepEngineOption:
-    def test_sweep_engine_soa_equals_scalar(self):
-        trace = make_trace(seed=4)
-        kwargs = dict(ks=[1, 3], sampling_rates=[None, 0.5], seed=21)
-        rows_scalar = ModelSweep.grid(**kwargs).run(
-            trace, max_workers=1, engine="scalar"
-        )
-        rows_soa = ModelSweep.grid(**kwargs).run(trace, max_workers=1, engine="soa")
-        for a, b in zip(rows_scalar, rows_soa):
-            assert np.array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.swap_positions == b.swap_positions
-
-    def test_sweep_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ModelSweep.grid(ks=[2]).run(make_trace(), engine="gpu")
