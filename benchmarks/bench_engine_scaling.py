@@ -8,16 +8,15 @@ Measures, on a 500k-request zipf trace (50k objects, alpha=0.99):
    (b) `KRRModel.process` on the array-native SoA stack (native
    chain-walk kernel when a C compiler is available).  Both must produce
    bit-identical curves.
-2. **MultiKRR one-pass grid** — the 12-config (K x sampling-rate) grid
-   evaluated in one streaming pass, bit-identity-checked against the
-   `ModelSweep` oracle (one independent `KRRModel` per config).
-3. **ModelSweep fan-out** — the same grid run serially and with 4 workers
-   over the shared-memory trace store, with a bit-identity check.
+2. **MultiKRR grid** — the 12-config (K x sampling-rate) grid evaluated
+   cell by cell over one shared trace plan, bit-identity-checked against
+   a plain loop of independent `KRRModel.process` runs with the same
+   spawned per-config seeds.
 
 This run doubles as the CI perf gate (see ``_gate``): the SoA stack must
 never be slower than the legacy loop, must clear 5x when the native
 kernel is active, every curve must be bit-identical to its oracle, and
-the one-pass grid must stay under 3x the single-config SoA time.  Any
+the 12-config grid must stay under 3x the single-config SoA time.  Any
 violation makes the process exit nonzero.
 
 Writes machine-readable results to ``BENCH_engine.json`` at the repo root
@@ -42,7 +41,6 @@ from _common import write_result  # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 K = 5
-SWEEP_WORKERS = 4
 SWEEP_KS = (1, 2, 5, 10)
 SWEEP_RATES = (0.1, 0.05, 0.01)  # 4 x 3 = 12 configs
 
@@ -103,65 +101,36 @@ def bench_engines(trace, seed=1):
 
 
 def bench_multi_krr(trace, seed=3):
+    from repro import KRRModel
     from repro.core.vkrr import MultiKRR
-    from repro.engine import ModelSweep
 
     grid = MultiKRR.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
     t0 = time.perf_counter()
     rows = grid.run(trace)
     multi_s = time.perf_counter() - t0
 
-    # The serial sweep is the oracle: N fully independent KRRModel runs
-    # with the same spawned per-config seeds.
-    sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
+    # The oracle: fully independent KRRModel runs with the same spawned
+    # per-config seeds, no shared plan.
     t0 = time.perf_counter()
-    oracle = sweep.run(trace, max_workers=1)
+    oracle = []
+    for cfg, cell_seed in zip(grid.configs, grid.config_seeds()):
+        model = KRRModel(k=cfg.k, sampling_rate=cfg.sampling_rate, seed=cell_seed)
+        model.process(trace)
+        oracle.append((model.mrc(), model.stats.swap_positions))
     oracle_s = time.perf_counter() - t0
 
     identical = all(
-        np.array_equal(a.sizes, b.sizes)
-        and np.array_equal(a.miss_ratios, b.miss_ratios)
-        and a.swap_positions == b.swap_positions
-        for a, b in zip(oracle, rows)
+        np.array_equal(curve.sizes, row.sizes)
+        and np.array_equal(curve.miss_ratios, row.miss_ratios)
+        and swaps == row.swap_positions
+        for (curve, swaps), row in zip(oracle, rows)
     )
     return {
         "n_configs": len(grid),
         "multi_s": round(multi_s, 4),
-        "sweep_oracle_s": round(oracle_s, 4),
-        "speedup_vs_sweep_oracle": round(oracle_s / multi_s, 3),
-        "identical_to_sweep_oracle": bool(identical),
-    }
-
-
-def bench_sweep(trace, seed=3):
-    from repro.engine import ModelSweep
-
-    sweep = ModelSweep.grid(ks=SWEEP_KS, sampling_rates=SWEEP_RATES, seed=seed)
-    t0 = time.perf_counter()
-    serial = sweep.run(trace, max_workers=1)
-    serial_s = time.perf_counter() - t0
-
-    # Oversubscribing a small box (e.g. a 1-CPU CI runner) just measures
-    # scheduler thrash, so cap the fan-out at the actual core count and
-    # record what was effectively used alongside the request.
-    workers = min(SWEEP_WORKERS, os.cpu_count() or 1)
-    t0 = time.perf_counter()
-    parallel = sweep.run(trace, max_workers=workers)
-    parallel_s = time.perf_counter() - t0
-
-    identical = all(
-        np.array_equal(a.sizes, b.sizes)
-        and np.array_equal(a.miss_ratios, b.miss_ratios)
-        for a, b in zip(serial, parallel)
-    )
-    return {
-        "n_configs": len(sweep),
-        "workers_requested": SWEEP_WORKERS,
-        "workers": workers,
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 3),
-        "bit_identical_grids": bool(identical),
+        "independent_models_s": round(oracle_s, 4),
+        "speedup_vs_independent_models": round(oracle_s / multi_s, 3),
+        "identical_to_independent_models": bool(identical),
     }
 
 
@@ -181,16 +150,13 @@ def _gate(payload):
             f"native SoA speedup {eng['soa_speedup_vs_legacy']}x < 5x vs legacy"
         )
     multi = payload["multi_krr"]
-    if not multi["identical_to_sweep_oracle"]:
-        failures.append("MultiKRR grid differs from the ModelSweep oracle")
+    if not multi["identical_to_independent_models"]:
+        failures.append("MultiKRR grid differs from independent KRRModel runs")
     if multi["multi_s"] > 3.0 * max(eng["soa_s"], 1e-3):
         failures.append(
             f"MultiKRR {multi['n_configs']}-config grid took {multi['multi_s']}s "
             f"> 3x single-config SoA time ({eng['soa_s']}s)"
         )
-    swept = payload["model_sweep"]
-    if not swept["bit_identical_grids"]:
-        failures.append("serial and parallel sweep grids differ")
     return failures
 
 
@@ -212,7 +178,6 @@ def main(argv=None):
 
     engines = bench_engines(trace)
     multi = bench_multi_krr(trace)
-    swept = bench_sweep(trace)
 
     payload = {
         "bench": "engine_scaling",
@@ -226,7 +191,6 @@ def main(argv=None):
         },
         "engines": engines,
         "multi_krr": multi,
-        "model_sweep": swept,
     }
     failures = _gate(payload)
     payload["gate_failures"] = failures
@@ -245,18 +209,13 @@ def main(argv=None):
         f"({engines['soa_speedup_vs_legacy']:.2f}x)",
         f"  curves identical: {engines['curves_identical']}",
         "",
-        f"MultiKRR one-pass {multi['n_configs']}-config grid "
+        f"MultiKRR {multi['n_configs']}-config grid "
         f"(K in {list(SWEEP_KS)}, R in {list(SWEEP_RATES)}):",
-        f"  one pass    {multi['multi_s']:8.2f}s",
-        f"  sweep orc   {multi['sweep_oracle_s']:8.2f}s  "
-        f"({multi['speedup_vs_sweep_oracle']:.2f}x)",
-        f"  identical to sweep oracle: {multi['identical_to_sweep_oracle']}",
-        "",
-        f"ModelSweep {swept['n_configs']}-config grid:",
-        f"  serial      {swept['serial_s']:8.2f}s",
-        f"  {swept['workers']} workers   {swept['parallel_s']:8.2f}s",
-        f"  speedup     {swept['speedup']:.2f}x  "
-        f"(grids bit-identical: {swept['bit_identical_grids']})",
+        f"  grid        {multi['multi_s']:8.2f}s",
+        f"  independent {multi['independent_models_s']:8.2f}s  "
+        f"({multi['speedup_vs_independent_models']:.2f}x)",
+        f"  identical to independent models: "
+        f"{multi['identical_to_independent_models']}",
         "",
         f"wrote {out}",
     ]

@@ -4,7 +4,7 @@ Measures, on a sharded (``save_chunked``) zipf trace whose total size is
 >= 10x the streaming chunk:
 
 1. **Streamed vs in-memory SoA** — `KRRModel.process(stream=...)` and the
-   one-pass `MultiKRR` grid fed chunk by chunk, against the same models
+   `MultiKRR` grid fed chunk by chunk, against the same models
    run over the materialized trace.  Curves and counters must be
    bit-identical, and streamed SoA throughput must stay >= 0.8x
    in-memory (the interner/chunk plumbing may not eat the engine).

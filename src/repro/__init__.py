@@ -12,7 +12,7 @@ Sampling-Based LRU* (ICPP 2021).  The headline API:
 Sub-packages:
 
 - :mod:`repro.core` — the KRR stack, fast updates, size tracking, model
-- :mod:`repro.engine` — shared-memory parallel modeling engine (ModelSweep)
+- :mod:`repro.engine` — grid sweeps and fleets (ModelSweep, FleetSweep)
 - :mod:`repro.stack` — Mattson framework and exact LRU oracles
 - :mod:`repro.sampling` — SHARDS-style spatial sampling
 - :mod:`repro.simulator` — ground-truth K-LRU / LRU / Redis-like caches

@@ -31,15 +31,13 @@ from .updates import (
     make_strategy,
     survival_table,
 )
-from .vkrr import GridConfig, GridResult, MultiKRR, spawn_seeds
+from .vkrr import MultiKRR, SweepConfig, SweepResult, grid_configs, spawn_seeds
 
 __all__ = [
     "BackwardUpdate",
     "DEFAULT_EXPONENT",
     "DRAW_BLOCK",
     "FixedSizeKRRModel",
-    "GridConfig",
-    "GridResult",
     "KFRModel",
     "KFRStack",
     "KRRModel",
@@ -50,6 +48,8 @@ __all__ = [
     "MultiKRR",
     "SizeArray",
     "SurvivalTable",
+    "SweepConfig",
+    "SweepResult",
     "TTLAwareKRRModel",
     "WindowedKRRModel",
     "TopDownUpdate",
@@ -61,6 +61,7 @@ __all__ = [
     "eviction_prob_without_replacement",
     "expected_swap_positions",
     "expected_swap_positions_bound",
+    "grid_configs",
     "inverse_eviction_cdf",
     "krr_eviction_prob",
     "make_strategy",

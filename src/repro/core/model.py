@@ -247,8 +247,8 @@ class KRRModel:
 
         ``plan`` supplies a :class:`~repro.engine.plan.TracePlan` for this
         trace; its cached hash column and per-rate sampled-index cache
-        replace the filter's hash pass entirely (the sweep engine shares
-        one plan across every grid cell and worker), and for object-level
+        replace the filter's hash pass entirely (a ``MultiKRR`` grid
+        shares one plan across every cell), and for object-level
         models its cached factorization also replaces the stack's key
         interning.  The selected indices are identical either way.
 

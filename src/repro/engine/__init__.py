@@ -1,29 +1,29 @@
-"""repro.engine — shared-memory parallel modeling engine.
+"""repro.engine — grid sweeps, fleets, and the resilient runner under them.
 
-Five pieces:
+Six pieces:
 
 * :mod:`repro.engine.plan` — :class:`TracePlan`: every trace-global
   preparation pass (batched hashes, sampling masks per rate, dense key
-  factorization, occurrence indices) computed once, cached by trace
-  fingerprint, and publishable as zero-copy shared-memory columns.
-
+  factorization, occurrence indices) computed once and cached by trace
+  fingerprint, so every cell of a grid shares one preparation.
 * :mod:`repro.engine.shm` — :class:`SharedTraceStore` /
   :class:`AttachedTrace`: trace columns mapped into worker processes via
   ``multiprocessing.shared_memory`` instead of being pickled per worker,
   with an atexit/SIGTERM registry that unlinks segments even when the
-  parent dies mid-sweep.
+  parent dies mid-run (used by the simulation sweep and the service).
 * :mod:`repro.engine.runner` — :class:`ResilientRunner`: per-task
   timeouts, bounded retries with backoff, automatic pool rebuild on
   worker death, graceful degradation to serial execution, and a
   structured :class:`RunReport` for every run.
-* :mod:`repro.engine.sweep` — :class:`ModelSweep`: evaluate a grid of
-  (K, strategy, sampling-rate) KRR configurations across a process pool
-  in one call, with per-configuration seeds derived up front so results
-  are bit-identical regardless of worker count *or* recovery path, plus
-  JSONL checkpoint/resume via :class:`SweepCheckpoint`.
-* :mod:`repro.engine.fleet` — :class:`FleetSweep`: the transpose of
-  :class:`ModelSweep` at scale — many traces × one config grid, each
-  trace streamed out-of-core inside its worker, with hierarchical
+* :mod:`repro.engine.sweep` — the grid task (one trace's whole
+  (K, strategy, sampling-rate) grid in one
+  :class:`~repro.core.vkrr.MultiKRR` pass, resumed from and appended to
+  a JSONL :class:`SweepCheckpoint`) and :class:`ModelSweep`, which runs
+  it in-process on one trace.  :class:`SweepConfig`/:class:`SweepResult`
+  live in :mod:`repro.core.vkrr` and are re-exported here.
+* :mod:`repro.engine.fleet` — :class:`FleetSweep`: many traces × one
+  config grid, one grid task per trace across a process pool, each path
+  streamed out-of-core inside its worker, with hierarchical
   (fleet-manifest + per-trace JSONL) checkpoints resumable at both the
   trace and grid-cell level.
 * :mod:`repro.engine.faults` — deterministic fault injection

@@ -1,20 +1,16 @@
 """FleetSweep: (trace × config-grid) scheduling at fleet scale.
 
-:class:`~repro.engine.sweep.ModelSweep` parallelizes one trace across a
-config grid; a capacity-planning fleet asks the transpose at scale:
-*hundreds of traces*, each against the same grid, with any trace too big
-to materialize.  :class:`FleetSweep` schedules one resilient task per
-trace — each worker opens its trace as a bounded-memory
-:class:`~repro.workloads.stream.TraceStream` and evaluates the whole
-grid in at most two streaming passes:
-
-* object-level ``backward``/``linear`` cells run as one streamed
-  :class:`~repro.core.vkrr.MultiKRR` pass — every cell consumes each
-  chunk while it is hot, sharing the incremental interner and per-chunk
-  hash columns;
-* the remaining cells (``topdown``, ``track_sizes``) share a second
-  pass, one :class:`~repro.core.model.KRRModel` each, fed chunk by
-  chunk.
+A capacity-planning fleet asks the grid question at scale: *hundreds of
+traces*, each against the same grid, with any trace too big to
+materialize.  :class:`FleetSweep` schedules one resilient grid task
+(:func:`~repro.engine.sweep.run_grid_task`) per trace across a process
+pool.  Each task evaluates the trace's whole grid in one
+:class:`~repro.core.vkrr.MultiKRR` pass: an in-memory :class:`Trace`
+runs cell by cell over one shared plan, a path is opened inside the
+worker as a bounded-memory :class:`~repro.workloads.stream.TraceStream`
+and every cell's model consumes each chunk in turn.
+:class:`~repro.engine.sweep.ModelSweep` runs the same task in-process
+on one trace.
 
 **Hierarchical checkpoints.**  Under ``checkpoint_dir`` the fleet writes
 a ``fleet.json`` manifest (validated on resume: seed, grid, trace list)
@@ -36,21 +32,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..core.model import KRRModel
-from ..core.vkrr import MultiKRR, spawn_seeds
-from ..stack.soa import SOA_STRATEGIES
-from ..workloads.stream import DEFAULT_CHUNK, open_trace_stream
+from ..core.vkrr import SweepConfig, SweepResult, grid_configs, spawn_seeds
+from ..workloads.stream import DEFAULT_CHUNK
 from ..workloads.trace import Trace
-from .checkpoint import CheckpointMismatch, Row, SweepCheckpoint
-from .faults import maybe_inject
+from .checkpoint import CheckpointMismatch
 from .runner import ResilientRunner, RunReport, resolve_workers
-from .sweep import SweepConfig, SweepResult
+from .sweep import (
+    GridTask,
+    TaskResult,
+    checkpointed_result,
+    grid_results,
+    run_grid_task,
+)
 
 __all__ = [
     "FleetSweep",
@@ -62,19 +58,6 @@ __all__ = [
 MANIFEST_NAME = "fleet.json"
 _MANIFEST_KIND = "repro-fleet-manifest"
 _MANIFEST_VERSION = 1
-
-#: One fleet worker payload: everything a trace task needs, picklable.
-_Payload = Tuple[
-    int,  # trace index
-    object,  # source (path string or Trace)
-    Tuple[SweepConfig, ...],
-    int,  # per-trace grid seed
-    Optional[int],  # max_size
-    int,  # chunk_size
-    Optional[str],  # per-trace checkpoint path
-    Optional[dict],  # per-trace checkpoint signature
-    str,  # CSV errors mode
-]
 
 
 @dataclass
@@ -93,114 +76,6 @@ def _source_label(source: object) -> str:
     if isinstance(source, Trace):
         return f"<trace:{source.name}:{len(source)}>"
     return str(source)
-
-
-def _multi_capable(config: SweepConfig) -> bool:
-    """Cells one :class:`MultiKRR` pass can evaluate."""
-    return config.strategy in SOA_STRATEGIES and not config.track_sizes
-
-
-def _fleet_one(payload: _Payload) -> Tuple[int, List[Row], Dict[str, int]]:
-    """Evaluate one trace's full grid inside a fleet worker.
-
-    Loads the per-trace checkpoint first and computes only the missing
-    cells, streaming the trace from disk; every fresh row is appended
-    durably as soon as its pass completes, so a crash mid-trace loses at
-    most the unfinished pass.
-    """
-    (
-        index,
-        source,
-        configs,
-        grid_seed,
-        max_size,
-        chunk_size,
-        ckpt_path,
-        signature,
-        errors,
-    ) = payload
-    maybe_inject(index)
-    ckpt: Optional[SweepCheckpoint] = None
-    rows: Dict[int, Row] = {}
-    if ckpt_path is not None:
-        assert signature is not None
-        ckpt = SweepCheckpoint(ckpt_path, signature)
-        rows = ckpt.load()
-    resumed = len(rows)
-    seeds = spawn_seeds(len(configs), grid_seed)
-    missing = [i for i in range(len(configs)) if i not in rows]
-    if missing:
-        stream = open_trace_stream(source, chunk_size, errors)
-        multi_cells = [i for i in missing if _multi_capable(configs[i])]
-        model_cells = [i for i in missing if not _multi_capable(configs[i])]
-        if multi_cells:
-            # One streamed pass evaluates every MultiKRR cell; explicit seeds
-            # keep each cell on its original grid position's stream even
-            # when only a subset of the grid is missing (resume).
-            grid = MultiKRR(
-                [configs[i] for i in multi_cells],
-                seeds=[seeds[i] for i in multi_cells],
-            )
-            for i, res in zip(multi_cells, grid.run(stream=stream, max_size=max_size)):
-                row: Row = (
-                    i,
-                    res.sizes,
-                    res.miss_ratios,
-                    res.unit,
-                    {
-                        "requests_seen": res.requests_seen,
-                        "requests_sampled": res.requests_sampled,
-                        "cold_misses": res.cold_misses,
-                        "stack_updates": res.stack_updates,
-                        "swap_positions": res.swap_positions,
-                    },
-                )
-                rows[i] = row
-                if ckpt is not None:
-                    ckpt.append(row)
-        if model_cells:
-            # The remaining cells share one more streamed pass: every
-            # model consumes each chunk while it is hot.
-            models = {
-                i: KRRModel(
-                    k=configs[i].k,
-                    strategy=configs[i].strategy,
-                    sampling_rate=configs[i].sampling_rate,
-                    correction=configs[i].correction,
-                    track_sizes=configs[i].track_sizes,
-                    seed=seeds[i],
-                )
-                for i in model_cells
-            }
-            for chunk in stream:
-                for model in models.values():
-                    model.access_many(chunk.keys, chunk.sizes)
-            for i, model in models.items():
-                if configs[i].track_sizes:
-                    curve = model.byte_mrc()
-                    unit = "bytes"
-                else:
-                    curve = model.mrc(max_size=max_size)
-                    unit = "objects"
-                s = model.stats
-                row = (
-                    i,
-                    curve.sizes,
-                    curve.miss_ratios,
-                    unit,
-                    {
-                        "requests_seen": s.requests_seen,
-                        "requests_sampled": s.requests_sampled,
-                        "cold_misses": s.cold_misses,
-                        "stack_updates": s.stack_updates,
-                        "swap_positions": s.swap_positions,
-                    },
-                )
-                rows[i] = row
-                if ckpt is not None:
-                    ckpt.append(row)
-    ordered = [rows[i] for i in range(len(configs))]
-    return index, ordered, {"resumed": resumed, "computed": len(missing)}
 
 
 class FleetSweep:
@@ -235,17 +110,10 @@ class FleetSweep:
         seed: int = 0,
     ) -> "FleetSweep":
         """Cross-product grid, same cell order as ``ModelSweep.grid``."""
-        configs = [
-            SweepConfig(
-                k=int(k),
-                strategy=s,
-                sampling_rate=r,
-                correction=correction,
-                track_sizes=track_sizes,
-            )
-            for k, s, r in product(ks, strategies, sampling_rates)
-        ]
-        return cls(configs, seed=seed)
+        return cls(
+            grid_configs(ks, strategies, sampling_rates, correction, track_sizes),
+            seed=seed,
+        )
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -300,15 +168,15 @@ class FleetSweep:
             ckpt_dir.mkdir(parents=True, exist_ok=True)
             self._ensure_manifest(ckpt_dir, labels, max_size)
 
-        payloads: List[_Payload] = []
+        tasks: List[GridTask] = []
         for i, source in enumerate(sources):
             ckpt_path: Optional[str] = None
             signature: Optional[dict] = None
             if ckpt_dir is not None:
                 ckpt_path = str(ckpt_dir / f"trace-{i:04d}.jsonl")
                 signature = self._trace_signature(i, labels[i], max_size)
-            payloads.append(
-                (
+            tasks.append(
+                GridTask(
                     i,
                     str(source) if isinstance(source, Path) else source,
                     tuple(self.configs),
@@ -322,51 +190,31 @@ class FleetSweep:
             )
 
         # Fleet-level resume: traces whose checkpoint already holds every
-        # grid row never reach a worker (so crash-injection latches and
-        # retry budgets are not re-spent on finished work).
-        completed: Dict[int, Tuple[int, List[Row], Dict[str, int]]] = {}
-        if ckpt_dir is not None:
-            for i, payload in enumerate(payloads):
-                assert payload[7] is not None
-                ckpt = SweepCheckpoint(Path(payload[6] or ""), payload[7])
-                rows = ckpt.load()
-                if len(rows) == len(self.configs):
-                    ordered = [rows[j] for j in range(len(self.configs))]
-                    completed[i] = (
-                        i,
-                        ordered,
-                        {"resumed": len(rows), "computed": 0},
-                    )
+        # grid row never reach a worker.
+        completed: Dict[int, TaskResult] = {}
+        for task in tasks:
+            done = checkpointed_result(task)
+            if done is not None:
+                completed[task.index] = done
 
         runner = ResilientRunner(
-            _fleet_one,
-            max_workers=resolve_workers(max_workers, len(payloads) - len(completed)),
+            run_grid_task,
+            max_workers=resolve_workers(max_workers, len(tasks) - len(completed)),
             task_timeout=task_timeout,
             retries=retries,
             backoff=backoff,
             max_pool_rebuilds=max_pool_rebuilds,
         )
-        raw, report = runner.run(payloads, completed=completed)
+        raw, report = runner.run(tasks, completed=completed)
 
         results: List[FleetTraceResult] = []
         for i, (index, rows, counters) in enumerate(raw):
             seeds = spawn_seeds(len(self.configs), grid_seeds[i])
-            trace_results = [
-                SweepResult(
-                    config=self.configs[j],
-                    seed=seeds[j],
-                    sizes=np.asarray(sizes),
-                    miss_ratios=np.asarray(ratios),
-                    unit=unit,
-                    **stats,
-                )
-                for j, sizes, ratios, unit, stats in rows
-            ]
             results.append(
                 FleetTraceResult(
                     index=index,
                     source=labels[i],
-                    results=trace_results,
+                    results=grid_results(self.configs, seeds, rows),
                     resumed_cells=int(counters.get("resumed", 0)),
                     computed_cells=int(counters.get("computed", 0)),
                 )

@@ -2,9 +2,9 @@
 
 Every consumer of a trace repeats the same preparation: spatial sampling
 hashes the key column, the batch kernels factorize keys and build
-previous-occurrence indices, and a :class:`~repro.engine.sweep.ModelSweep`
-does all of it once *per grid cell*.  :class:`TracePlan` hoists that work
-to a single vectorized pass per trace:
+previous-occurrence indices, and a grid of models would do all of it once
+*per grid cell*.  :class:`TracePlan` hoists that work to a single
+vectorized pass per trace:
 
 * **hash columns** — batched ``splitmix64`` over the keys, one column per
   hash seed, from which every spatial-sampling mask is a single compare;
@@ -18,11 +18,8 @@ to a single vectorized pass per trace:
 
 Plans are cached by the trace's CRC32 fingerprint — the same fingerprint
 :class:`~repro.engine.checkpoint.SweepCheckpoint` uses — so repeated
-models over one trace (a sweep, a benchmark loop) hit the cache.  The
-columns are plain ``int64``/``uint64`` arrays, which is what lets
-:class:`~repro.engine.shm.SharedTraceStore` publish them zero-copy next
-to the trace columns: every pool worker then *attaches* the finished
-preparation instead of redoing it.
+models over one trace (a :class:`~repro.core.vkrr.MultiKRR` grid, a
+benchmark loop) hit the cache.
 
 All fields are lazy: a plan built only for sampling never pays for the
 factorization argsort, and vice versa.
@@ -95,30 +92,6 @@ class TracePlan:
             _PLAN_CACHE.move_to_end(key)
         return plan
 
-    @classmethod
-    def from_columns(
-        cls,
-        keys: np.ndarray,
-        fingerprint: int,
-        *,
-        key_ids: np.ndarray,
-        prev: np.ndarray,
-        hashes: np.ndarray,
-        hash_seed: int = 0,
-    ) -> "TracePlan":
-        """Rehydrate a plan from precomputed (e.g. shared-memory) columns.
-
-        The unique-key table is not shipped across processes; consumers
-        that need it (none of the hot paths do) trigger a local rebuild.
-        """
-        plan = cls(keys, fingerprint)
-        plan._key_ids = np.ascontiguousarray(key_ids, dtype=np.int64)
-        plan._prev = np.ascontiguousarray(prev, dtype=np.int64)
-        plan._hashes[int(hash_seed)] = np.ascontiguousarray(
-            hashes, dtype=np.uint64
-        )
-        return plan
-
     # ------------------------------------------------------------------
     # lazy columns
     # ------------------------------------------------------------------
@@ -156,9 +129,6 @@ class TracePlan:
 
     @property
     def n_unique_keys(self) -> int:
-        if self._key_ids is not None and self._unique_keys is None:
-            # Rehydrated from shared columns: the id range is the count.
-            return int(self._key_ids.max()) + 1 if self.n_requests else 0
         return int(self.unique_keys.shape[0])
 
     @property
@@ -209,56 +179,29 @@ class TracePlan:
             self._sample_indices[cache_key] = idx
         return idx
 
-    # ------------------------------------------------------------------
-    def materialize(self) -> None:
-        """Force the shareable columns (ids, prev, seed-0 hashes)."""
-        _ = self.key_ids
-        _ = self.prev_occurrence
-        _ = self.hashes(0)
-
 
 class StreamingTracePlan:
-    """The out-of-core sibling of :class:`TracePlan`: per-chunk columns.
+    """First-seen dense key ids for a stream, interned chunk by chunk.
 
-    A :class:`TracePlan` hoists whole-trace preparation; with a bounded-
-    memory :class:`~repro.workloads.stream.TraceStream` the whole columns
-    never exist, so the same preparation is computed *incrementally*:
-
-    * :meth:`intern` — dense key ids assigned in first-seen order by a
-      persistent dict, one vectorized unique-pass per chunk.  Id *values*
-      differ from :attr:`TracePlan.key_ids` (sorted-table order) but the
-      key<->id bijection is equivalent, which is all the SoA stacks need
-      (distances depend on stack positions, not id values — see
-      :meth:`~repro.stack.soa.SoAKRRStack.access_many_interned`).
-    * :meth:`chunk_hashes` — per-chunk ``splitmix64`` columns, memoized
-      per hash seed *for the current chunk only* so a grid with many
-      cells sharing one sampler seed hashes each chunk once.  The hash is
-      stateless per key, so chunked masks select exactly the rows a
-      whole-column mask would.
-    * :meth:`observe` — running request count and a chained CRC32
-      fingerprint over the chunks (chunk-layout dependent; stable for
-      replays of the same stream).
+    The out-of-core sibling of :attr:`TracePlan.key_ids`: with a bounded-
+    memory :class:`~repro.workloads.stream.TraceStream` the whole key
+    column never exists, so :meth:`intern` assigns ids in first-seen order
+    through a persistent dict, one vectorized unique-pass per chunk.  Id
+    *values* differ from :attr:`TracePlan.key_ids` (sorted-table order)
+    but the key<->id bijection is equivalent, which is all the SoA stacks
+    need (distances depend on stack positions, not id values — see
+    :meth:`~repro.stack.soa.SoAKRRStack.access_many_interned`).
+    ``KRRModel.process(stream=)`` does not use it (each model interns only
+    the keys its filter keeps); it drives the streamed per-layer
+    decomposition in ``perfbench``.
     """
 
     def __init__(self) -> None:
         self._ids: Dict[int, int] = {}
-        self.n_requests = 0
-        self.n_chunks = 0
-        self.fingerprint = 0
-        self._hash_chunk_id = -1
-        self._hash_cache: Dict[int, np.ndarray] = {}
 
     @property
     def n_unique_keys(self) -> int:
         return len(self._ids)
-
-    def observe(self, chunk: Trace) -> None:
-        """Fold one chunk into the running counters and fingerprint."""
-        crc = zlib.crc32(chunk.keys.tobytes(), self.fingerprint)
-        crc = zlib.crc32(chunk.sizes.tobytes(), crc)
-        self.fingerprint = zlib.crc32(chunk.ops.tobytes(), crc)
-        self.n_requests += len(chunk)
-        self.n_chunks += 1
 
     def intern(self, keys: np.ndarray) -> np.ndarray:
         """Dense first-seen ids for one chunk's key column (stateful)."""
@@ -272,33 +215,6 @@ class StreamingTracePlan:
                 ids[key] = kid
             lut[j] = kid
         return np.ascontiguousarray(lut[inverse], dtype=np.int64)
-
-    def chunk_hashes(self, keys: np.ndarray, seed: int = 0) -> np.ndarray:
-        """``splitmix64`` of one chunk's keys, memoized for the current chunk.
-
-        The memo is keyed by ``(chunk identity, seed)`` where chunk
-        identity is the per-plan chunk counter — call :meth:`observe`
-        *before* hashing a new chunk so the memo rolls over.
-        """
-        if self._hash_chunk_id != self.n_chunks:
-            self._hash_cache.clear()
-            self._hash_chunk_id = self.n_chunks
-        column = self._hash_cache.get(int(seed))
-        if column is None:
-            hashed = splitmix64(keys, int(seed))
-            assert isinstance(hashed, np.ndarray)
-            column = np.ascontiguousarray(hashed, dtype=np.uint64)
-            self._hash_cache[int(seed)] = column
-        return column
-
-    def chunk_sample_mask(
-        self, keys: np.ndarray, threshold: int, modulus: int, seed: int = 0
-    ) -> np.ndarray:
-        """Per-chunk keep-mask, identical to the whole-column mask's rows."""
-        hashed = self.chunk_hashes(keys, seed)
-        mask = (hashed % np.uint64(modulus)) < np.uint64(threshold)
-        assert isinstance(mask, np.ndarray)
-        return mask
 
 
 _PLAN_CACHE_MAX = 8

@@ -24,6 +24,7 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 from ..engine.shm import on_sigterm, remove_sigterm_callback
 from .handlers import Api
 from .registry import TenantRegistry
+from .snapshot import write_atomic
 from .supervisor import Supervisor
 
 __all__ = [
@@ -88,7 +89,9 @@ def serve(
         flush=True,
     )
     if port_file:
-        Path(port_file).write_text(f"{bound_port}\n")
+        # Renamed into place whole: a harness polling for the file never
+        # reads it empty.
+        write_atomic(Path(port_file), f"{bound_port}\n".encode())
 
     server_thread = threading.Thread(
         target=httpd.serve_forever,

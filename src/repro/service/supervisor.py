@@ -170,14 +170,17 @@ def _worker_main(
 
     # Re-apply every acked batch newer than the snapshot.  Anything still
     # sitting in the (inherited) inbox with seq <= applied_seq afterwards
-    # is a duplicate and gets skipped by the dedup check below.
+    # is a duplicate and gets skipped by the dedup check below — so the
+    # replayed batches are the ones that count toward ``snapshot_every``.
     wal = TenantWAL(root / "wal")
+    replayed = 0
     for seq, keys, sizes in wal.replay(applied_seq):
         model.access_many(keys, sizes)
         if shards is not None:
             for i, key in enumerate(keys):
                 shards.access(int(key), int(sizes[i]) if sizes else 1)
         applied_seq = seq
+        replayed += 1
     wal.close()
 
     def apply_batch(seq: int, keys: List[int], sizes: Optional[List[int]]) -> int:
@@ -200,7 +203,7 @@ def _worker_main(
         outbox.put(("snapshotted", generation, applied_seq))
 
     last_snapshot = time.monotonic()
-    batches_since_snapshot = 0
+    batches_since_snapshot = replayed
     while True:
         timeout = max(0.05, snapshot_interval - (time.monotonic() - last_snapshot))
         try:

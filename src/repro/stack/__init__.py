@@ -19,7 +19,6 @@ from .mattson import (
     rr_policy,
     rr_stack,
 )
-from .order_statistic_tree import OrderStatisticTreap
 from .priority_stack import (
     PriorityStack,
     lfu_distances,
@@ -37,7 +36,6 @@ __all__ = [
     "GenericStack",
     "GrowableFenwick",
     "LinkedListLRUStack",
-    "OrderStatisticTreap",
     "PriorityStack",
     "SOA_STRATEGIES",
     "SoAKRRStack",

@@ -91,11 +91,6 @@ class SoAKRRStack:
         ``None`` (default) uses the compiled kernel when available;
         ``False`` forces the pure-Python walk (testing/diagnostics);
         ``True`` requires it (raises ``RuntimeError`` if unavailable).
-    stack_buffer / pos_buffer:
-        Preallocated ``int64`` state rows (e.g. rows of a grid-wide 2-D
-        array, as :class:`~repro.core.vkrr.MultiKRR` passes).  Both must
-        be given together, C-contiguous, and large enough for every
-        distinct key; growth is disabled in this mode.
     """
 
     def __init__(
@@ -107,8 +102,6 @@ class SoAKRRStack:
         size_array_base: int = 2,
         initial_capacity: int = 1024,
         use_native: Optional[bool] = None,
-        stack_buffer: Optional[np.ndarray] = None,
-        pos_buffer: Optional[np.ndarray] = None,
     ) -> None:
         if k <= 0:
             raise ValueError("K must be positive")
@@ -132,18 +125,9 @@ class SoAKRRStack:
                     "(set REPRO_NATIVE=1 and install cc/gcc/clang)"
                 )
 
-        if (stack_buffer is None) != (pos_buffer is None):
-            raise ValueError("stack_buffer and pos_buffer must be given together")
-        if stack_buffer is not None and pos_buffer is not None:
-            self._stack = self._check_buffer(stack_buffer, "stack_buffer")
-            self._pos = self._check_buffer(pos_buffer, "pos_buffer")
-            self._pos[:] = -1
-            self._fixed_capacity = True
-        else:
-            cap = max(1, int(initial_capacity))
-            self._stack = np.empty(cap, dtype=np.int64)
-            self._pos = np.full(cap, -1, dtype=np.int64)
-            self._fixed_capacity = False
+        cap = max(1, int(initial_capacity))
+        self._stack = np.empty(cap, dtype=np.int64)
+        self._pos = np.full(cap, -1, dtype=np.int64)
         self._n = 0
         self._sizes = np.ones(self._pos.shape[0], dtype=np.int64)
 
@@ -175,14 +159,6 @@ class SoAKRRStack:
         self.updates = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_buffer(buffer: np.ndarray, name: str) -> np.ndarray:
-        if buffer.dtype != np.int64 or buffer.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D int64 array")
-        if not buffer.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous")
-        return buffer
-
     @property
     def uses_native_kernel(self) -> bool:
         """True when chain walks run in the compiled kernel."""
@@ -256,15 +232,6 @@ class SoAKRRStack:
         """Room for ``incoming`` potential colds and ids up to ``max_kid``."""
         need_slots = self._n + incoming
         need_ids = max_kid + 1
-        if self._fixed_capacity:
-            if need_ids > self._pos.shape[0] or need_ids > self._stack.shape[0]:
-                raise ValueError(
-                    "fixed-capacity SoA stack too small for key ids up to "
-                    f"{max_kid} (capacity {self._pos.shape[0]})"
-                )
-            if self._sizes.shape[0] < need_ids:
-                self._sizes = self._grow(self._sizes, need_ids, 1)
-            return
         if self._stack.shape[0] < need_slots:
             self._stack = self._grow(self._stack, need_slots, 0)
         if self._pos.shape[0] < need_ids:

@@ -3,9 +3,10 @@
 The load-bearing guarantees:
 
 * ``SharedTraceStore`` round-trips trace columns bit-exactly and cleans up.
-* ``ModelSweep`` and ``parallel_klru_mrc`` produce bit-identical grids for
-  ``max_workers=1`` vs ``max_workers=4`` under a fixed seed (worker count
-  must never influence results).
+* ``ModelSweep`` cells equal direct ``KRRModel`` runs, and
+  ``parallel_klru_mrc`` produces bit-identical grids for ``max_workers=1``
+  vs ``max_workers=4`` under a fixed seed (worker count must never
+  influence results).
 * ``KRRStack.access_many`` matches a loop of ``access()`` calls
   draw-for-draw (same RNG consumption, same distances, same final stack).
 """
@@ -163,40 +164,24 @@ class TestModelSweep:
         assert sweep.config_seeds() == sweep.config_seeds()
         assert len(set(sweep.config_seeds())) == 3
 
-    def test_bit_identical_across_worker_counts(self):
-        trace = _zipf_trace(seed=20)
-        sweep = ModelSweep.grid(
-            ks=[1, 4], strategies=["backward"], sampling_rates=[None, 0.5],
-            seed=5,
-        )
-        serial = sweep.run(trace, max_workers=1)
-        parallel = sweep.run(trace, max_workers=4)
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert a.config == b.config
-            assert a.seed == b.seed
-            np.testing.assert_array_equal(a.sizes, b.sizes)
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.requests_sampled == b.requests_sampled
-
     def test_serial_matches_direct_model(self):
         trace = _zipf_trace(seed=21)
         sweep = ModelSweep([SweepConfig(k=4)], seed=9)
-        result = sweep.run(trace, max_workers=1)[0]
+        result = sweep.run(trace)[0]
         direct = KRRModel(k=4, seed=result.seed).process(trace).mrc()
         np.testing.assert_array_equal(result.miss_ratios, direct.miss_ratios)
 
     def test_byte_granularity_config(self):
         trace = _zipf_trace(seed=22, variable_size=True)
         sweep = ModelSweep([SweepConfig(k=3, track_sizes=True)], seed=1)
-        result = sweep.run(trace, max_workers=1)[0]
+        result = sweep.run(trace)[0]
         assert result.unit == "bytes"
         assert result.mrc().unit == "bytes"
 
     def test_max_size_caps_grid(self):
         trace = _zipf_trace(seed=23)
         sweep = ModelSweep([SweepConfig(k=2)], seed=3)
-        result = sweep.run(trace, max_workers=1, max_size=50)[0]
+        result = sweep.run(trace, max_size=50)[0]
         assert result.sizes[-1] <= 50
 
 
@@ -220,7 +205,7 @@ class TestSweepCLI:
         out = tmp_path / "grid.csv"
         rc = main([
             "sweep", str(trace_path), "--ks", "1,5", "--rates", "none,0.5",
-            "--workers", "1", "--seed", "3", "-o", str(out),
+            "--seed", "3", "-o", str(out),
         ])
         assert rc == 0
         lines = out.read_text().strip().splitlines()

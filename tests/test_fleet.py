@@ -3,7 +3,7 @@
 The fleet contract under test:
 
 * a fleet grid equals per-trace ``ModelSweep`` runs with the spawned
-  per-trace seeds, for any mix of source formats and cell engines;
+  per-trace seeds, for any mix of source formats and cell strategies;
 * resume is bit-identical at both levels — finished traces come back
   from their checkpoints without re-running, and a partially-finished
   trace recomputes only its missing cells on position-correct seeds;
@@ -33,8 +33,8 @@ def _trace(i, n=1_500, objects=300):
 
 @pytest.fixture
 def fleet():
-    # backward cells ride the streamed MultiKRR pass, topdown cells the
-    # shared scalar pass — both worker paths stay covered.
+    # backward cells run on the SoA stack, topdown cells on the KRRStack
+    # oracle — both share each trace's one MultiKRR pass.
     return FleetSweep.grid(
         ks=[1, 4],
         strategies=["backward", "topdown"],
@@ -78,9 +78,7 @@ def test_fleet_matches_per_trace_model_sweep(fleet, sources):
     assert report.completed == 3
     grid_seeds = fleet.trace_seeds(3)
     for i, trace in enumerate(traces):
-        reference = ModelSweep(fleet.configs, seed=grid_seeds[i]).run(
-            trace, max_workers=1
-        )
+        reference = ModelSweep(fleet.configs, seed=grid_seeds[i]).run(trace)
         _assert_same_grids(results[i].results, reference)
 
 

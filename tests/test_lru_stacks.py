@@ -1,6 +1,6 @@
-"""Exact LRU stack-distance oracles: linked list, Fenwick tree, treap.
+"""Exact LRU stack-distance oracles: linked list and Fenwick tree.
 
-The three implementations are independent; they must agree with each other
+The two implementations are independent; they must agree with each other
 and with a brute-force oracle on every sequence.
 """
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stack.lru_stack import LinkedListLRUStack, TreeLRUStack, lru_histograms
-from repro.stack.order_statistic_tree import OrderStatisticTreap
 from repro.workloads import Trace
 
 from .conftest import brute_force_lru_distances
@@ -73,52 +72,6 @@ class TestTreeLRUStack:
         for k in (1, 2, 1, 3):
             s.access(k)
         assert len(s) == 3
-
-
-class TestOrderStatisticTreap:
-    @given(key_sequences)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_linked_list(self, keys):
-        a = LinkedListLRUStack()
-        t = OrderStatisticTreap(rng=0)
-        for k in keys:
-            dist_a, _ = a.access(k)
-            rank_t, _ = t.access(k)
-            assert rank_t == dist_a
-
-    def test_bytes_above_and_rank(self):
-        t = OrderStatisticTreap(rng=0)
-        t.access(1, size=10)
-        t.access(2, size=20)
-        t.access(3, size=5)
-        rank, byte_dist = t.access(1, size=10)
-        assert rank == 3
-        assert byte_dist == 5 + 20 + 10
-
-    def test_evict_oldest(self):
-        t = OrderStatisticTreap(rng=0)
-        for k in (1, 2, 3):
-            t.access(k)
-        assert t.evict_oldest() == 1
-        assert len(t) == 2
-        assert 1 not in t
-
-    def test_evict_empty_raises(self):
-        with pytest.raises(IndexError):
-            OrderStatisticTreap().evict_oldest()
-
-    def test_stack_order(self):
-        t = OrderStatisticTreap(rng=0)
-        for k in (1, 2, 3, 2):
-            t.access(k)
-        assert t.keys_in_stack_order() == [2, 3, 1]
-
-    def test_total_bytes_tracks_sizes(self):
-        t = OrderStatisticTreap(rng=0)
-        t.access(1, size=10)
-        t.access(2, size=20)
-        t.access(1, size=15)  # size update on re-access
-        assert t.total_bytes() == 35
 
 
 class TestLRUHistograms:

@@ -3,7 +3,7 @@
 Every recovery path the resilient runner claims is proven here with
 injected faults (``repro.engine.faults``):
 
-* a worker crash mid-grid rebuilds the pool and finishes with results
+* a worker crash mid-fleet rebuilds the pool and finishes with results
   bit-identical to an uninterrupted ``max_workers=1`` run;
 * a hung worker trips the per-task timeout, is killed, and the task
   retries successfully;
@@ -30,6 +30,7 @@ import pytest
 
 from repro.engine import (
     CheckpointMismatch,
+    FleetSweep,
     ModelSweep,
     ResilientRunner,
     TaskFailedError,
@@ -66,7 +67,8 @@ def _square_broken(x: int) -> int:
 
 def _zipf_trace(n_objects=300, n_requests=5_000, seed=0):
     return Trace(
-        zipf_trace_keys(n_objects, n_requests, 0.9, rng=seed), name="faults"
+        zipf_trace_keys(n_objects, n_requests, 0.9, rng=seed),
+        name=f"faults{seed}",
     )
 
 
@@ -78,6 +80,29 @@ def trace():
 @pytest.fixture
 def sweep():
     return ModelSweep.grid(ks=[1, 4], sampling_rates=[None, 0.5], seed=5)
+
+
+@pytest.fixture
+def traces():
+    """Three in-memory traces: one pool task each in a fleet."""
+    return [_zipf_trace(n_requests=3_000, seed=s) for s in range(3)]
+
+
+@pytest.fixture
+def fleet():
+    return FleetSweep.grid(
+        ks=[1, 4], strategies=["backward", "topdown"],
+        sampling_rates=[None, 0.5], seed=5,
+    )
+
+
+def _assert_same_fleet(clean, results):
+    for a, b in zip(clean, results):
+        for x, y in zip(a.results, b.results):
+            assert x.config == y.config
+            np.testing.assert_array_equal(x.sizes, y.sizes)
+            np.testing.assert_array_equal(x.miss_ratios, y.miss_ratios)
+            assert x.requests_sampled == y.requests_sampled
 
 
 # ----------------------------------------------------------------------
@@ -169,67 +194,63 @@ class TestFaultPlanParsing:
 
 # ----------------------------------------------------------------------
 class TestSweepFaultRecovery:
+    """Pool recovery paths, driven through a fleet (one task per trace)."""
+
     def test_worker_crash_recovers_bit_identical(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"crash-once@1;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=2, backoff=0
+        results, report = fleet.run(
+            traces, max_workers=2, retries=2, backoff=0
         )
+        assert report.mode == "pool"
         assert report.pool_rebuilds >= 1
         assert not report.degraded_to_serial
-        for a, b in zip(clean, results):
-            assert a.config == b.config
-            np.testing.assert_array_equal(a.sizes, b.sizes)
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
-            assert a.requests_sampled == b.requests_sampled
+        _assert_same_fleet(clean, results)
 
     def test_timeout_fires_on_hung_worker(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"hang-once@0:60;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=2, backoff=0, task_timeout=1.5
+        results, report = fleet.run(
+            traces, max_workers=2, retries=2, backoff=0, task_timeout=1.5
         )
         assert report.timeouts >= 1
         assert report.tasks[0].timeouts >= 1
-        for a, b in zip(clean, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        _assert_same_fleet(clean, results)
 
     def test_degrades_to_serial_when_pool_keeps_dying(
-        self, trace, sweep, monkeypatch
+        self, traces, fleet, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", "crash@0")  # crashes every attempt
         with pytest.warns(RuntimeWarning, match="degrading"):
-            results, report = sweep.run_with_report(
-                trace, max_workers=2, retries=1, backoff=0, max_pool_rebuilds=1
+            results, report = fleet.run(
+                traces, max_workers=2, retries=1, backoff=0, max_pool_rebuilds=1
             )
         assert report.degraded_to_serial
-        for a, b in zip(clean, results):
-            np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
+        _assert_same_fleet(clean, results)
 
     def test_transient_worker_failure_retried(
-        self, trace, sweep, tmp_path, monkeypatch
+        self, traces, fleet, tmp_path, monkeypatch
     ):
-        clean = sweep.run(trace, max_workers=1)
+        clean, _ = fleet.run(traces, max_workers=1)
         monkeypatch.setenv("REPRO_FAULTS", f"flaky@0:2;state={tmp_path}")
-        results, report = sweep.run_with_report(
-            trace, max_workers=2, retries=3, backoff=0
+        results, report = fleet.run(
+            traces, max_workers=2, retries=3, backoff=0
         )
+        assert report.mode == "pool"
         assert report.retries >= 2
-        np.testing.assert_array_equal(
-            clean[0].miss_ratios, results[0].miss_ratios
-        )
+        _assert_same_fleet(clean, results)
 
     def test_retry_budget_exhausted_raises(
         self, trace, sweep, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULTS", f"flaky@0:10;state={tmp_path}")
         with pytest.raises(TaskFailedError):
-            sweep.run_with_report(trace, max_workers=1, retries=1, backoff=0)
+            sweep.run_with_report(trace, retries=1, backoff=0)
 
     def test_simulation_sweep_recovers_from_crash(
         self, trace, tmp_path, monkeypatch
@@ -248,24 +269,17 @@ class TestSweepFaultRecovery:
 
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
-    def test_resume_skips_completed_configs(
-        self, trace, tmp_path, monkeypatch
-    ):
+    def test_resume_skips_completed_configs(self, trace, tmp_path):
         sweep = ModelSweep.grid(ks=[1, 2, 4], seed=7)
-        clean = sweep.run(trace, max_workers=1)
+        clean = sweep.run(trace)
         ck = tmp_path / "sweep.ckpt"
-        # First run dies at grid position 2 after streaming rows 0 and 1.
-        monkeypatch.setenv("REPRO_FAULTS", f"flaky@2:10;state={tmp_path}")
-        with pytest.raises(TaskFailedError):
-            sweep.run_with_report(
-                trace, max_workers=1, retries=0, checkpoint=ck
-            )
-        monkeypatch.delenv("REPRO_FAULTS")
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
-        )
+        sweep.run(trace, checkpoint=ck)
+        # An interrupted run: the checkpoint holds only its first two rows.
+        lines = ck.read_text().splitlines(keepends=True)
+        ck.write_text("".join(lines[:3]))
+        results, report = sweep.run_with_report(trace, checkpoint=ck)
         assert report.from_checkpoint == 2
-        assert report.attempts == 1  # only the remaining grid position ran
+        assert report.attempts == 1  # one task ran, for the remaining cell
         for a, b in zip(clean, results):
             assert a.config == b.config
             np.testing.assert_array_equal(a.sizes, b.sizes)
@@ -274,10 +288,8 @@ class TestCheckpointResume:
     def test_finished_checkpoint_runs_nothing(self, trace, tmp_path):
         sweep = ModelSweep.grid(ks=[1, 4], seed=3)
         ck = tmp_path / "sweep.ckpt"
-        first = sweep.run(trace, max_workers=1, checkpoint=ck)
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
-        )
+        first = sweep.run(trace, checkpoint=ck)
+        results, report = sweep.run_with_report(trace, checkpoint=ck)
         assert report.attempts == 0
         assert report.from_checkpoint == len(sweep)
         for a, b in zip(first, results):
@@ -285,34 +297,28 @@ class TestCheckpointResume:
 
     def test_mismatched_checkpoint_rejected(self, trace, tmp_path):
         ck = tmp_path / "sweep.ckpt"
-        ModelSweep.grid(ks=[1, 4], seed=3).run(
-            trace, max_workers=1, checkpoint=ck
-        )
+        ModelSweep.grid(ks=[1, 4], seed=3).run(trace, checkpoint=ck)
         other = ModelSweep.grid(ks=[1, 4], seed=99)  # different sweep seed
         with pytest.raises(CheckpointMismatch):
-            other.run(trace, max_workers=1, checkpoint=ck)
+            other.run(trace, checkpoint=ck)
 
     def test_garbage_checkpoint_rejected(self, trace, tmp_path):
         ck = tmp_path / "sweep.ckpt"
         ck.write_text("not json at all\n")
         with pytest.raises(CheckpointMismatch):
-            ModelSweep.grid(ks=[1], seed=3).run(
-                trace, max_workers=1, checkpoint=ck
-            )
+            ModelSweep.grid(ks=[1], seed=3).run(trace, checkpoint=ck)
 
     def test_truncated_tail_row_ignored(self, trace, tmp_path):
         sweep = ModelSweep.grid(ks=[1, 4], seed=3)
         ck = tmp_path / "sweep.ckpt"
-        sweep.run(trace, max_workers=1, checkpoint=ck)
+        sweep.run(trace, checkpoint=ck)
         # Simulate a crash mid-write: chop the last row in half.
         text = ck.read_text()
         ck.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        results, report = sweep.run_with_report(
-            trace, max_workers=1, checkpoint=ck
-        )
+        results, report = sweep.run_with_report(trace, checkpoint=ck)
         assert report.from_checkpoint == 1  # intact row kept, torn row redone
         assert report.attempts == 1
-        clean = sweep.run(trace, max_workers=1)
+        clean = sweep.run(trace)
         for a, b in zip(clean, results):
             np.testing.assert_array_equal(a.miss_ratios, b.miss_ratios)
 
@@ -384,13 +390,14 @@ class TestSweepCLIFaultFlags:
         report_path = tmp_path / "report.json"
         out = tmp_path / "grid.csv"
         argv = [
-            "sweep", str(trace_path), "--ks", "1,4", "--workers", "1",
-            "--seed", "3", "--checkpoint", str(ck), "--task-timeout", "300",
-            "--retries", "3", "--report", str(report_path), "-o", str(out),
+            "sweep", str(trace_path), "--ks", "1,4", "--seed", "3",
+            "--checkpoint", str(ck), "--retries", "3",
+            "--report", str(report_path), "-o", str(out),
         ]
         assert main(argv) == 0
         first = json.loads(report_path.read_text())
-        assert first["total_tasks"] == 2
+        assert first["total_tasks"] == 1  # the grid is one task
+        assert first["attempts"] == 1
         assert first["from_checkpoint"] == 0
         first_grid = out.read_text()
 

@@ -315,6 +315,41 @@ class TestApi:
 
 
 # ----------------------------------------------------------------------
+# Worker start-up replay
+# ----------------------------------------------------------------------
+class TestWorkerReplay:
+    def test_replayed_batches_count_toward_snapshot_every(self, tmp_path):
+        """A worker that starts with >= snapshot_every acked batches in the
+        WAL snapshots them: their inbox copies are skipped as duplicates,
+        so the replay is the only place they can be counted."""
+        import queue
+        import threading
+
+        from repro.service.supervisor import _worker_main
+
+        config = TenantConfig(tenant_id="t", k=4, window=2_000, seed=9)
+        with TenantWAL(tmp_path / "wal") as wal:
+            for seq in range(1, 4):
+                wal.append(seq, [seq * 10 + i for i in range(20)], None)
+        inbox: "queue.Queue[object]" = queue.Queue()
+        outbox: "queue.Queue[object]" = queue.Queue()
+        worker = threading.Thread(
+            target=_worker_main,
+            args=("t", config.to_dict(), str(tmp_path), inbox, outbox,
+                  3600.0, 2),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            msg = outbox.get(timeout=10)
+            assert msg[0] == "snapshotted" and msg[2] == 3
+        finally:
+            inbox.put(("stop",))
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+
+
+# ----------------------------------------------------------------------
 # Real supervisor end to end (worker processes, degradation, 429)
 # ----------------------------------------------------------------------
 class TestSupervisorEndToEnd:

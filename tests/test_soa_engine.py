@@ -128,20 +128,6 @@ class TestStackApi:
         with pytest.raises(ValueError):
             SoAKRRStack(0)
 
-    def test_rejects_mismatched_buffers(self):
-        with pytest.raises(ValueError):
-            SoAKRRStack(4, stack_buffer=np.zeros(8, dtype=np.int64))
-
-    def test_fixed_capacity_overflow_raises(self):
-        s = SoAKRRStack(
-            4,
-            rng=0,
-            stack_buffer=np.zeros(2, dtype=np.int64),
-            pos_buffer=np.zeros(2, dtype=np.int64),
-        )
-        with pytest.raises(ValueError):
-            s.access_many([1, 2, 3])
-
     def test_external_ids_reject_raw_key_mixing(self):
         s = SoAKRRStack(4, rng=0)
         table = np.asarray([10, 20], dtype=np.int64)

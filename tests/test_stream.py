@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import KRRModel
-from repro.core.vkrr import MultiKRR
+from repro.core.vkrr import MultiKRR, SweepConfig
 from repro.workloads.io import save_csv, save_npz
 from repro.workloads.stream import (
     ChunkedTraceReader,
@@ -251,22 +251,40 @@ def test_streamed_krr_model_bit_identical(trace, chunk_size, strategy, rate, k):
 
 
 @settings(max_examples=15, deadline=None)
-@given(trace=trace_st, chunk_size=st.integers(1, 97))
+@given(trace=sized_trace_st, chunk_size=st.integers(1, 97))
 def test_streamed_multi_krr_bit_identical(trace, chunk_size):
-    grid_kwargs = dict(ks=[1, 4], sampling_rates=[None, 0.5], seed=9)
-    try:
-        mem = MultiKRR.grid(**grid_kwargs).run(trace)
-    except ValueError:  # a cell sampled nothing: streamed must agree
+    """A streamed MultiKRR grid — topdown and byte-level cells included —
+    equals independent in-memory KRRModel runs, cell by cell."""
+    configs = [
+        SweepConfig(k=k, strategy=strategy, sampling_rate=rate, track_sizes=sizes)
+        for k, strategy, rate, sizes in (
+            (1, "backward", None, False),
+            (4, "backward", 0.5, False),
+            (3, "linear", None, True),
+            (4, "topdown", None, False),
+            (2, "topdown", 0.5, True),
+        )
+    ]
+    grid = MultiKRR(configs, seed=9)
+    seeds = grid.config_seeds()
+    models = []
+    for cfg, seed in zip(configs, seeds):
+        model = KRRModel(k=cfg.k, strategy=cfg.strategy,
+                         sampling_rate=cfg.sampling_rate,
+                         track_sizes=cfg.track_sizes, seed=seed)
+        model.process(trace)
+        models.append(model)
+    if any(m.stats.requests_sampled == 0 for m in models):
+        # A cell sampled nothing: the streamed grid must refuse its curve too.
         with pytest.raises(ValueError):
-            MultiKRR.grid(**grid_kwargs).run(stream=iter_chunks(trace, chunk_size))
+            grid.run(stream=iter_chunks(trace, chunk_size))
         return
-    streamed = MultiKRR.grid(**grid_kwargs).run(
-        stream=iter_chunks(trace, chunk_size)
-    )
-    for a, b in zip(mem, streamed):
-        assert a.seed == b.seed
-        assert np.array_equal(a.sizes, b.sizes)
-        assert np.array_equal(a.miss_ratios, b.miss_ratios)
+    streamed = grid.run(stream=iter_chunks(trace, chunk_size))
+    for cfg, model, res in zip(configs, models, streamed):
+        curve = model.byte_mrc() if cfg.track_sizes else model.mrc()
+        assert res.unit == curve.unit
+        assert np.array_equal(curve.sizes, res.sizes)
+        assert np.array_equal(curve.miss_ratios, res.miss_ratios)
         for f in (
             "requests_seen",
             "requests_sampled",
@@ -274,7 +292,7 @@ def test_streamed_multi_krr_bit_identical(trace, chunk_size):
             "stack_updates",
             "swap_positions",
         ):
-            assert getattr(a, f) == getattr(b, f)
+            assert getattr(model.stats, f) == getattr(res, f)
 
 
 @settings(max_examples=15, deadline=None)
