@@ -274,6 +274,9 @@ class ResilientRunner:
                 report.retries += 1
                 self._sleep_backoff(tr.attempts)
                 continue
+            except Exception as exc:
+                tr.outcome = "failed"
+                raise TaskFailedError(i, tr.attempts, exc, report) from exc
             tr.wall_time = time.monotonic() - t0
             tr.outcome = "ok"
             return result

@@ -9,16 +9,45 @@ MRC never increases with cache size; simulation noise can wiggle).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "MissRatioCurve",
     "evaluation_grid",
+    "float_array_json",
 ]
 
+#: ``json.dumps`` spells the non-finite floats its own way, not as ``repr``.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def float_array_json(values: ArrayLike) -> str:
+    """``json.dumps(np.asarray(values, float64).tolist())``, run-length fast.
+
+    A sampled curve changes value only every ~1/R sizes, so each run of
+    bit-equal values is formatted once (``repr`` of a Python float, as
+    ``json`` does) and its text repeated.  Runs compare bits, not values:
+    ``-0.0`` and ``0.0`` print differently.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    if a.size == 0:
+        return "[]"
+    bits = a.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    lengths = np.diff(np.append(starts, a.size))
+    heads = a[starts]
+    texts = list(map(repr, heads.tolist()))
+    if not np.isfinite(heads).all():
+        texts = [_NON_FINITE.get(t, t) for t in texts]
+    runs = np.flatnonzero(lengths > 1)
+    for i, n in zip(runs.tolist(), lengths[runs].tolist()):
+        texts[i] = ", ".join([texts[i]] * n)
+    return "[" + ", ".join(texts) + "]"
 
 
 @dataclass(frozen=True)
@@ -87,6 +116,15 @@ class MissRatioCurve:
 
     def with_label(self, label: str) -> "MissRatioCurve":
         return MissRatioCurve(self.sizes, self.miss_ratios, self.unit, label)
+
+    def to_json(self) -> str:
+        """``json.dumps({"sizes": ..., "miss_ratios": ..., "unit": ...})``
+        of the float lists, encoded by :func:`float_array_json`."""
+        return (
+            f'{{"sizes": {float_array_json(self.sizes)}, '
+            f'"miss_ratios": {float_array_json(self.miss_ratios)}, '
+            f'"unit": {json.dumps(self.unit)}}}'
+        )
 
     def to_rows(self) -> list[tuple[float, float]]:
         """(size, miss_ratio) rows — handy for printing experiment series."""

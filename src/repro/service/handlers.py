@@ -34,6 +34,7 @@ import re
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs
 
+from ..mrc.curve import float_array_json
 from .registry import TenantConfig
 from .supervisor import Backpressure, Supervisor, TenantUnavailable
 
@@ -56,8 +57,8 @@ _STATUS = {
     500: "500 Internal Server Error",
 }
 
-#: (status, headers, body-dict)
-_Response = Tuple[int, List[Tuple[str, str]], Dict[str, Any]]
+#: (status, headers, body): a dict is JSON-encoded, bytes are sent as is.
+_Response = Tuple[int, List[Tuple[str, str]], Dict[str, Any] | bytes]
 
 _TENANT_PATH = re.compile(r"^/tenants/([^/]+)(?:/([a-z_]+))?$")
 _CACHE_PATH = re.compile(r"^/caches/([^/]+)(?:/([a-z_]+))?$")
@@ -101,7 +102,7 @@ class Api:
             status, headers, body = 400, [], {"error": str(exc)}
         except KeyError as exc:
             status, headers, body = 409, [], {"error": str(exc)}
-        payload = json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         start_response(
             _STATUS[status],
             [
@@ -192,12 +193,8 @@ class Api:
         return 200, [], {"seq": seq, "durable": True}
 
     def _mrc(self, tenant_id: str, query_string: str) -> _Response:
-        params = parse_qs(query_string)
-        max_size: Optional[int] = None
-        if "max_size" in params:
-            max_size = int(params["max_size"][0])
-        payload = self.supervisor.query(tenant_id, max_size=max_size)
-        return 200, [], payload
+        max_size = _int_param(query_string, "max_size")
+        return 200, [], self.supervisor.query(tenant_id, max_size=max_size)
 
     # ------------------------------------------------------------------
     # in-process SamplingLRUCache introspection
@@ -217,31 +214,29 @@ class Api:
         cache = self._cache(name)
         if not cache.instrumented:
             raise ValueError(f"cache {name!r} runs uninstrumented (no model)")
-        params = parse_qs(query_string)
-        max_size: Optional[int] = None
-        if "max_size" in params:
-            max_size = int(params["max_size"][0])
+        max_size = _int_param(query_string, "max_size")
         curve = (
             cache.byte_mrc() if cache.track_sizes else cache.mrc(max_size=max_size)
         )
-        return 200, [], {
-            "cache": name,
-            "unit": curve.unit,
-            "sizes": [float(s) for s in curve.sizes],
-            "miss_ratios": [float(r) for r in curve.miss_ratios],
-        }
+        head = json.dumps({"cache": name, "unit": curve.unit})[:-1]
+        return 200, [], (
+            f'{head}, "sizes": {float_array_json(curve.sizes)}, '
+            f'"miss_ratios": {float_array_json(curve.miss_ratios)}}}'
+        ).encode()
 
     def _cache_partition(self, query_string: str) -> _Response:
-        params = parse_qs(query_string)
-        budget: Optional[int] = None
-        if "budget" in params:
-            budget = int(params["budget"][0])
+        budget = _int_param(query_string, "budget")
         result = self.cache_registry.partition_advice(budget=budget)
         return 200, [], {
             "budget": result.budget,
             "allocations": result.allocations,
             "total_miss_cost": result.total_miss_cost,
         }
+
+
+def _int_param(query_string: str, name: str) -> Optional[int]:
+    values = parse_qs(query_string).get(name)
+    return None if values is None else int(values[0])
 
 
 def _read_json(environ: Dict[str, Any]) -> Dict[str, Any]:

@@ -29,6 +29,12 @@ backoff; past ``max_restarts`` consecutive failures the tenant is marked
 ``failed`` and stays in snapshot-serving mode (ingest remains durable in
 the WAL and replays on the next daemon start).
 
+Queries: the worker encodes its ``/mrc`` answer to JSON bytes once
+(:func:`_curve_payload`), and the parent hands those bytes to the HTTP
+layer untouched, so no curve is formatted under the parent's
+interpreter lock.  Only a stale answer is encoded in the parent, from
+the snapshot's model.
+
 Large ingest batches cross the process boundary through a
 :class:`~repro.engine.shm.SharedTraceStore` segment instead of the
 queue; the parent closes the segment when the worker acks the batch (or
@@ -45,6 +51,7 @@ as the worker answers a query.
 from __future__ import annotations
 
 import collections
+import json
 import multiprocessing
 import os
 import queue as queue_mod
@@ -53,7 +60,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,36 +103,43 @@ _FAILED = "failed"
 _STOPPED = "stopped"
 
 
+def _curve_json(
+    source: Union[WindowedKRRModel, Shards], max_size: Optional[int]
+) -> str:
+    try:
+        return source.mrc(max_size=max_size).to_json()
+    except ValueError:
+        # Nothing sampled yet: an empty curve, not an error.
+        return '{"sizes": [], "miss_ratios": [], "unit": "objects"}'
+
+
 def _curve_payload(
     model: WindowedKRRModel,
     shards: Optional[Shards],
     max_size: Optional[int],
-) -> Dict[str, Any]:
-    """JSON-safe MRC + counters for one tenant model pair."""
-    payload: Dict[str, Any] = {"counters": model.counters()}
-    try:
-        curve = model.mrc(max_size=max_size)
-        payload["mrc"] = {
-            "sizes": np.asarray(curve.sizes).tolist(),
-            "miss_ratios": np.asarray(curve.miss_ratios, dtype=float).tolist(),
-            "unit": curve.unit,
-        }
-    except ValueError:
-        # Nothing sampled yet: an empty curve, not an error.
-        payload["mrc"] = {"sizes": [], "miss_ratios": [], "unit": "objects"}
+    **tail: Any,
+) -> bytes:
+    """The ``/mrc`` answer for one tenant model pair, as JSON bytes.
+
+    The bytes equal ``json.dumps`` of ``{"counters", "mrc", "shards_mrc"?,
+    **tail}`` (each curve ``{"sizes", "miss_ratios", "unit"}``), built
+    once so that nothing downstream decodes or re-encodes a curve.
+    ``tail`` holds the top-level fields after the curves, in order.
+    """
+    text = json.dumps({"counters": model.counters()})[:-1]
+    text += ', "mrc": ' + _curve_json(model, max_size)
     if shards is not None:
-        try:
-            sc = shards.mrc(max_size=max_size)
-            payload["shards_mrc"] = {
-                "sizes": np.asarray(sc.sizes).tolist(),
-                "miss_ratios": np.asarray(sc.miss_ratios, dtype=float).tolist(),
-                "unit": sc.unit,
-            }
-        except ValueError:
-            payload["shards_mrc"] = {
-                "sizes": [], "miss_ratios": [], "unit": "objects"
-            }
-    return payload
+        text += ', "shards_mrc": ' + _curve_json(shards, max_size)
+    return (text + ", " + json.dumps(tail)[1:]).encode()
+
+
+def _restore(body: Dict[str, Any]) -> Tuple[WindowedKRRModel, Optional[Shards]]:
+    """The tenant model pair saved in a snapshot body."""
+    shards = body.get("shards")
+    return (
+        WindowedKRRModel.from_state(body["model"]),
+        None if shards is None else Shards.from_state(shards),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +170,7 @@ def _worker_main(
     loaded = snapshots.load_latest()
     if loaded is not None:
         _, body = loaded
-        model = WindowedKRRModel.from_state(body["model"])
-        shards = (
-            Shards.from_state(body["shards"])
-            if body.get("shards") is not None
-            else None
-        )
+        model, shards = _restore(body)
         applied_seq = int(body["applied_seq"])
     else:
         model = config.build_model()
@@ -228,9 +237,9 @@ def _worker_main(
             elif kind == "query":
                 _, req_id, max_size = msg
                 maybe_inject("query")
-                payload = _curve_payload(model, shards, max_size)
-                payload["stale"] = False
-                payload["applied_seq"] = applied_seq
+                payload = _curve_payload(
+                    model, shards, max_size, stale=False, applied_seq=applied_seq
+                )
                 outbox.put(("query_result", req_id, payload))
             elif kind == "stop":
                 save_snapshot()
@@ -269,7 +278,7 @@ class _Tenant:
     #: the supervision loop.  Non-empty overflow => 429 on new ingest.
     overflow: Deque[Tuple[str, ...]] = field(default_factory=collections.deque)
     pending_shm: Dict[int, SharedTraceStore] = field(default_factory=dict)
-    responses: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    responses: Dict[int, bytes] = field(default_factory=dict)
     resp_cv: threading.Condition = field(default_factory=threading.Condition)
     next_req_id: int = 0
     #: Memoized (generation, body) of the newest verified snapshot, so a
@@ -642,10 +651,11 @@ class Supervisor:
     # ------------------------------------------------------------------
     # Queries (live when possible, snapshot + stale flag when not)
     # ------------------------------------------------------------------
-    def query(
-        self, tenant_id: str, max_size: Optional[int] = None
-    ) -> Dict[str, Any]:
-        """The tenant's current MRC + counters.
+    def query(self, tenant_id: str, max_size: Optional[int] = None) -> bytes:
+        """The tenant's current MRC + counters, as the JSON body of ``/mrc``.
+
+        The bytes come encoded from the worker (or, when stale, from the
+        snapshot's model): the supervisor never decodes or re-encodes them.
 
         A healthy worker answers live.  A dead, restarting, failed or
         *hung* worker (watchdog timeout) is answered from the newest
@@ -674,9 +684,7 @@ class Supervisor:
                 proc.terminate()
         return self._stale_payload(t)
 
-    def _await_response(
-        self, t: _Tenant, req_id: int
-    ) -> Optional[Dict[str, Any]]:
+    def _await_response(self, t: _Tenant, req_id: int) -> Optional[bytes]:
         deadline = time.monotonic() + self.watchdog_timeout
         with t.resp_cv:
             while req_id not in t.responses:
@@ -686,7 +694,7 @@ class Supervisor:
                 t.resp_cv.wait(timeout=remaining)
             return t.responses.pop(req_id)
 
-    def _stale_payload(self, t: _Tenant) -> Dict[str, Any]:
+    def _stale_payload(self, t: _Tenant) -> bytes:
         with t.lock:
             cached = t.snapshot_cache
         if cached is None:
@@ -698,25 +706,18 @@ class Supervisor:
         if cached is None:
             # Never snapshotted: answer from an empty model of the same
             # configuration rather than 500ing.
-            payload = _curve_payload(t.config.build_model(), None, None)
-            payload.update(
-                stale=True, staleness_seconds=None, applied_seq=0
+            return _curve_payload(
+                t.config.build_model(), None, None,
+                stale=True, staleness_seconds=None, applied_seq=0,
             )
-            return payload
         _, body = cached
-        model = WindowedKRRModel.from_state(body["model"])
-        shards = (
-            Shards.from_state(body["shards"])
-            if body.get("shards") is not None
-            else None
-        )
-        payload = _curve_payload(model, shards, None)
-        payload.update(
+        model, shards = _restore(body)
+        return _curve_payload(
+            model, shards, None,
             stale=True,
             staleness_seconds=max(0.0, time.time() - float(body["wall_time"])),
             applied_seq=int(body["applied_seq"]),
         )
-        return payload
 
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:

@@ -352,6 +352,11 @@ class TestRegistry:
 # service routes (in-process introspection endpoints)
 # ----------------------------------------------------------------------
 def _call(app, method, path):
+    code, payload = _call_raw(app, method, path)
+    return code, json.loads(payload)
+
+
+def _call_raw(app, method, path):
     path, _, query = path.partition("?")
     environ = {
         "REQUEST_METHOD": method,
@@ -366,7 +371,7 @@ def _call(app, method, path):
         captured["status"] = status
 
     payload = b"".join(app(environ, start_response))
-    return int(captured["status"][:3]), json.loads(payload)
+    return int(captured["status"][:3]), payload
 
 
 class _StubSupervisor:
@@ -410,6 +415,30 @@ class TestCacheEndpoints:
         assert body["unit"] == "objects"
         assert len(body["sizes"]) == len(body["miss_ratios"]) > 0
         assert max(body["sizes"]) <= 50
+
+    @pytest.mark.parametrize("rate", [1.0, 0.05])
+    @pytest.mark.parametrize("query", ["", "?max_size=50"])
+    def test_cache_mrc_wire_bytes(self, rate, query):
+        # The body is byte-identical to json.dumps of the flat dict layout.
+        from repro.service.handlers import Api
+
+        registry = CacheRegistry()
+        cache = SamplingLRUCache(10_000, name="web", seed=0, model_rate=rate,
+                                 model_window=10**8)
+        _fill(cache, n_keys=2_000, n_requests=20_000)
+        registry.register(cache)
+        code, raw = _call_raw(Api(_StubSupervisor(), cache_registry=registry),
+                              "GET", "/caches/web/mrc" + query)
+        curve = cache.mrc(max_size=50 if query else None)
+        if rate < 1 and not query:  # runs of equal ratios are encoded once
+            assert len(set(curve.miss_ratios.tolist())) < len(curve) / 4
+        assert code == 200
+        assert raw == json.dumps({
+            "cache": "web",
+            "unit": curve.unit,
+            "sizes": [float(s) for s in curve.sizes],
+            "miss_ratios": [float(r) for r in curve.miss_ratios],
+        }).encode()
 
     def test_unknown_cache_is_404(self, api):
         code, _ = _call(api, "GET", "/caches/nope")

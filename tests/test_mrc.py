@@ -1,8 +1,10 @@
 """Tests for MissRatioCurve, builders and error metrics."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mrc import (
@@ -14,6 +16,7 @@ from repro.mrc import (
     mean_absolute_error,
 )
 from repro.mrc.builder import from_distance_histogram
+from repro.mrc.curve import float_array_json
 from repro.stack.histogram import DistanceHistogram
 
 
@@ -155,3 +158,36 @@ class TestEvaluationGrid:
             evaluation_grid(0)
         with pytest.raises(ValueError):
             evaluation_grid(10, 0)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, float("nan"),
+                float("inf"), -float("inf")]
+
+
+class TestJsonEncoding:
+    """The run-length encoder writes exactly what ``json.dumps`` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()),
+            st.integers(1, 40),  # run length
+        ),
+        max_size=30,
+    ))
+    @example([])
+    @example([(0.5, 1)])
+    @example([(0.0, 3), (-0.0, 2), (float("nan"), 4), (float("inf"), 1)])
+    def test_float_array_json_equals_json_dumps(self, runs):
+        values = [v for v, n in runs for _ in range(n)]
+        a = np.asarray(values, dtype=np.float64)
+        assert float_array_json(a) == json.dumps(a.tolist())
+
+    def test_curve_to_json_equals_dict_encoding(self):
+        sizes = np.arange(1.0, 301.0)
+        curve = _curve(sizes, np.repeat(np.linspace(0.9, 0.1, 30), 10), "bytes")
+        assert curve.to_json() == json.dumps({
+            "sizes": curve.sizes.tolist(),
+            "miss_ratios": curve.miss_ratios.tolist(),
+            "unit": "bytes",
+        })

@@ -15,6 +15,7 @@ from repro.engine import (
     FleetSweep,
     ModelSweep,
     TracePlan,
+    TaskFailedError,
     clear_plan_cache,
     trace_fingerprint,
 )
@@ -238,5 +239,18 @@ class TestSweepChunking:
 
     def test_invalid_chunk_size(self, csv_path):
         fleet = FleetSweep.grid(ks=[1], seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TaskFailedError):
             fleet.run([csv_path], max_workers=1, chunk_size=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_chunk_size_fails_alike_serial_and_pool(
+        self, sweep_trace, csv_path, tmp_path, workers
+    ):
+        # Two traces, so two workers really run the pool path.
+        other = tmp_path / "other.csv"
+        save_csv(Trace(sweep_trace.keys[::-1].copy(), name="other"), other)
+        fleet = FleetSweep.grid(ks=[1], seed=0)
+        with pytest.raises(TaskFailedError) as exc_info:
+            fleet.run([csv_path, str(other)], max_workers=workers, chunk_size=0)
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        assert exc_info.value.report.tasks[exc_info.value.index].outcome == "failed"

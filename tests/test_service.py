@@ -13,6 +13,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.service import (
@@ -201,6 +202,12 @@ class TestTenantRegistry:
 # HTTP layer (stub supervisor: transport mapping only)
 # ----------------------------------------------------------------------
 def _call(app, method, path, body=None):
+    code, headers, payload = _call_raw(app, method, path, body)
+    return code, headers, json.loads(payload)
+
+
+def _call_raw(app, method, path, body=None):
+    """One WSGI request: (status, headers, undecoded body bytes)."""
     raw = json.dumps(body).encode() if body is not None else b""
     path, _, query = path.partition("?")
     environ = {
@@ -217,7 +224,8 @@ def _call(app, method, path, body=None):
         captured["headers"] = dict(headers)
 
     payload = b"".join(app(environ, start_response))
-    return int(captured["status"][:3]), captured["headers"], json.loads(payload)
+    assert int(captured["headers"]["Content-Length"]) == len(payload)
+    return int(captured["status"][:3]), captured["headers"], payload
 
 
 class _StubSupervisor:
@@ -245,7 +253,7 @@ class _StubSupervisor:
     def query(self, tenant_id, max_size=None):
         if tenant_id not in self.registry:
             raise TenantUnavailable(tenant_id)
-        return {"stale": False, "max_size": max_size}
+        return json.dumps({"stale": False, "max_size": max_size}).encode()
 
 
 class TestApi:
@@ -374,7 +382,7 @@ class TestSupervisorEndToEnd:
                 sup.ingest("t", [i % 50 for i in range(b * 31, b * 31 + 100)])
             deadline = time.monotonic() + 10
             while True:
-                live = sup.query("t")
+                live = json.loads(sup.query("t"))
                 if not live["stale"] and live["counters"]["requests_seen"] == 400:
                     break
                 assert time.monotonic() < deadline, live
@@ -387,7 +395,7 @@ class TestSupervisorEndToEnd:
             t.proc.join(timeout=5)
             deadline = time.monotonic() + 10
             while True:
-                stale = sup.query("t")
+                stale = json.loads(sup.query("t"))
                 if stale["stale"]:
                     break
                 assert time.monotonic() < deadline
@@ -426,7 +434,7 @@ class TestSupervisorEndToEnd:
             t.proc.join(timeout=5)
             deadline = time.monotonic() + 10
             while True:
-                r = sup.query("t")
+                r = json.loads(sup.query("t"))
                 if r["stale"]:
                     break
                 assert time.monotonic() < deadline
@@ -458,7 +466,7 @@ class TestSupervisorEndToEnd:
             sup2.ingest("t", keys[300:])
             deadline = time.monotonic() + 15
             while True:
-                r = sup2.query("t")
+                r = json.loads(sup2.query("t"))
                 if not r["stale"] and r["counters"]["requests_seen"] == 600:
                     break
                 assert time.monotonic() < deadline, r
@@ -472,3 +480,123 @@ class TestSupervisorEndToEnd:
         curve = oracle.mrc()
         assert r["mrc"]["sizes"] == [float(s) for s in curve.sizes]
         assert r["mrc"]["miss_ratios"] == [float(m) for m in curve.miss_ratios]
+
+
+# ----------------------------------------------------------------------
+# /mrc wire format: the worker-encoded bytes equal json.dumps of the
+# answer dict the supervisor used to build and encode itself
+# ----------------------------------------------------------------------
+def _dict_curve(mrc):
+    try:
+        curve = mrc()
+    except ValueError:
+        return {"sizes": [], "miss_ratios": [], "unit": "objects"}
+    return {
+        "sizes": np.asarray(curve.sizes).tolist(),
+        "miss_ratios": np.asarray(curve.miss_ratios, dtype=float).tolist(),
+        "unit": curve.unit,
+    }
+
+
+def _dict_answer(model, shards, max_size, **tail):
+    """The ``/mrc`` body as ``json.dumps`` of the answer dict."""
+    payload = {
+        "counters": model.counters(),
+        "mrc": _dict_curve(lambda: model.mrc(max_size=max_size)),
+    }
+    if shards is not None:
+        payload["shards_mrc"] = _dict_curve(lambda: shards.mrc(max_size=max_size))
+    payload.update(tail)
+    return json.dumps(payload).encode()
+
+
+class TestMrcWire:
+    BATCHES = 3
+
+    def _fed(self, config, batches):
+        """An oracle model pair fed like the tenant worker."""
+        model, shards = config.build_model(), config.build_shards()
+        for keys in batches:
+            model.access_many(keys)
+            if shards is not None:
+                for key in keys:
+                    shards.access(int(key), 1)
+        return model, shards
+
+    def _get(self, app, path):
+        code, _, raw = _call_raw(app, "GET", path)
+        assert code == 200
+        return raw
+
+    def _await(self, app, path, done):
+        deadline = time.monotonic() + 15
+        while True:
+            raw = self._get(app, path)
+            if done(json.loads(raw)):
+                return raw
+            assert time.monotonic() < deadline, raw[:200]
+            time.sleep(0.05)
+
+    def test_mrc_bytes_equal_dict_encoding(self, tmp_path):
+        from repro.service.app import create_app
+
+        configs = {
+            "plain": TenantConfig(tenant_id="plain", k=4, window=4_000,
+                                  sampling_rate=0.1, seed=3),
+            "sh": TenantConfig(tenant_id="sh", k=4, window=4_000,
+                               sampling_rate=0.1, seed=4, shards_rate=0.5),
+            "cold": TenantConfig(tenant_id="cold", k=4, window=4_000,
+                                 shards_rate=0.5, seed=5),
+        }
+        batches = [
+            [(i * 7919 + b) % 1_500 for i in range(1_000)]
+            for b in range(self.BATCHES)
+        ]
+        sup = Supervisor(TenantRegistry(tmp_path), snapshot_every=1,
+                         snapshot_interval=60.0, restart_backoff=30.0)
+        sup.start()
+        app = create_app(sup)
+        try:
+            for config in configs.values():
+                sup.add_tenant(config)
+            # Never snapshotted: stale, an empty curve, no SHARDS curve.
+            t = sup._tenant("cold")
+            t.proc.terminate()
+            t.proc.join(timeout=5)
+            raw = self._await(app, "/tenants/cold/mrc", lambda r: r["stale"])
+            assert raw == _dict_answer(
+                configs["cold"].build_model(), None, None,
+                stale=True, staleness_seconds=None, applied_seq=0,
+            )
+
+            for name in ("plain", "sh"):
+                for keys in batches:
+                    sup.ingest(name, keys)
+            n = self.BATCHES * len(batches[0])
+            for name in ("plain", "sh"):
+                model, shards = self._fed(configs[name], batches)
+                # Sampled at rate 0.1: runs of equal ratios reach the encoder.
+                ratios = model.mrc().miss_ratios
+                assert len(set(ratios.tolist())) < len(ratios) / 4
+                path = f"/tenants/{name}/mrc"
+                raw = self._await(app, path, lambda r: (
+                    not r["stale"] and r["counters"]["requests_seen"] == n))
+                live = dict(stale=False, applied_seq=self.BATCHES)
+                assert raw == _dict_answer(model, shards, None, **live)
+                assert self._get(app, path + "?max_size=64") == _dict_answer(
+                    model, shards, 64, **live)
+
+            # The worker snapshotted after every batch; once it is dead the
+            # answer comes from the newest snapshot, with SHARDS.
+            t = sup._tenant("sh")
+            t.proc.terminate()
+            t.proc.join(timeout=5)
+            raw = self._await(app, "/tenants/sh/mrc", lambda r: r["stale"])
+            model, shards = self._fed(configs["sh"], batches)
+            assert raw == _dict_answer(
+                model, shards, None, stale=True,
+                staleness_seconds=json.loads(raw)["staleness_seconds"],
+                applied_seq=self.BATCHES,
+            )
+        finally:
+            sup.stop(grace=5.0)

@@ -69,12 +69,24 @@ class _Daemon:
             stdout=self.log,
             stderr=subprocess.STDOUT,
         )
-        deadline = time.monotonic() + 30
-        while not port_file.exists():
-            assert self.proc.poll() is None, "daemon died during startup"
-            assert time.monotonic() < deadline, "daemon never wrote port file"
-            time.sleep(0.05)
-        self.base = f"http://127.0.0.1:{int(port_file.read_text())}"
+        try:
+            deadline = time.monotonic() + 30
+            while not port_file.exists():
+                assert self.proc.poll() is None, "daemon died during startup"
+                assert time.monotonic() < deadline, "daemon never wrote port file"
+                time.sleep(0.05)
+            self.base = f"http://127.0.0.1:{int(port_file.read_text())}"
+        except BaseException:
+            # A failed start must not leave the daemon (or the tenant
+            # workers it forked) running: SIGTERM shuts both down.
+            self.proc.terminate()
+            try:
+                self.proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait(timeout=10)
+            self.log.close()
+            raise
 
     def request(self, method: str, path: str, body=None, timeout=20.0):
         data = json.dumps(body).encode() if body is not None else None
